@@ -9,14 +9,33 @@ feasible answer beats an exhaustive search.
 Pruning is LP-free: each node bounds the objective by relaxing every unfixed
 variable to its objective-improving value, and detects dead rows from the
 attainable min/max of their unfixed part.
+
+The dead-row test knows about cardinality rows. At setup the solver keeps a
+disjoint set of all-ones "=" / "<=" rows with an integer right-hand side
+(largest support first, "<=" rows only where they bind); each such row's
+support is a block. Every other
+row splits into the parts that fall in blocks plus a free part. A block
+whose row allows r more ones bounds its part of another row by the sum of
+that part's top (or bottom) r unfixed coefficients: exactly r when the
+block row is "=" and the part spans the whole block, otherwise at most r,
+counting only coefficients that push the bound outward. Free parts are
+bounded coefficient by coefficient. A variable is fixed at depth d exactly
+when its position in the branching order is at most d, so each part keeps
+depth-stamped cursors past its fixed prefix and a bound walks about r
+entries, not the whole prefix. Also at setup, a rational right-hand side on
+a row with integer coefficients is rounded inward (floor for "<=", ceiling
+for ">="). Both steps only cut subtrees that hold no feasible point, so the
+search meets the same incumbents in the same order, in no more nodes.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -147,6 +166,33 @@ def check_feasible(problem: BlpProblem, assignment: Sequence[int]) -> bool:
     return True
 
 
+def _rounded_rhs(coeffs: tuple[tuple[int, Coeff], ...], rel: int, rhs: Coeff) -> Coeff:
+    """The right-hand side with its fraction dropped where integrality allows.
+
+    A row whose coefficients are all integers has an integer left-hand side
+    at every binary point, so a rational bound can be rounded inward.
+    """
+    if not isinstance(rhs, Fraction) or not all(
+        isinstance(c, int) or c.denominator == 1 for _, c in coeffs
+    ):
+        return rhs
+    if rel == _LE:
+        return math.floor(rhs)
+    if rel == _GE:
+        return math.ceil(rhs)
+    return rhs
+
+
+def _is_cardinality(coeffs: tuple[tuple[int, Coeff], ...], rel: int, rhs: Coeff) -> bool:
+    """An all-ones "=" row, or a binding all-ones "<=" row, with an integer bound."""
+    return (
+        isinstance(rhs, int)
+        and bool(coeffs)
+        and all(c == 1 for _, c in coeffs)
+        and (rel == _EQ or (rel == _LE and rhs < len(coeffs)))
+    )
+
+
 def solve(
     problem: BlpProblem,
     budget: float,
@@ -188,33 +234,117 @@ def solve(
     n_rows = len(rows)
 
     rels = [_REL_CODES[rel] for _, rel, _ in rows]
-    rhss = [rhs for _, _, rhs in rows]
+    rhss = [_rounded_rhs(coeffs, code, rhs) for (coeffs, _, rhs), code in zip(rows, rels)]
+    # Stable, so ties keep the lowest index first.
+    order = sorted(range(n), key=[-abs(c) for c in objective].__getitem__)
+    rank = [0] * n
+    for position, j in enumerate(order):
+        rank[j] = position
+
+    # Cardinality blocks: a disjoint set of all-ones "=" / "<=" rows with an
+    # integer right-hand side, largest support first. ``block_of[j]`` is the
+    # index of the row whose block holds variable j, or -1.
+    block_of = [-1] * n
+    cardinality = sorted(
+        (i for i in range(n_rows) if _is_cardinality(rows[i][0], rels[i], rhss[i])),
+        key=lambda i: (-len(rows[i][0]), i),
+    )
+    for i in cardinality:
+        if all(block_of[j] < 0 for j, _ in rows[i][0]):
+            for j, _ in rows[i][0]:
+                block_of[j] = i
+
     acts: list[Coeff] = [0] * n_rows
+    # Attainable min/max contribution of the unfixed variables of each
+    # row's free part, the variables outside every block the row meets.
     neg_rems: list[Coeff] = [0] * n_rows
     pos_rems: list[Coeff] = [0] * n_rows
     # Contribution of the objective-improving completion of unfixed vars.
     imp_rems: list[Coeff] = [0] * n_rows
     imp_value = [1 if objective[j] < 0 else 0 for j in range(n)]
-    cols: list[list[tuple[int, Coeff]]] = [[] for _ in range(n)]
+    # ``(row, coeff, in the row's free part)`` for each variable.
+    cols: list[list[tuple[int, Coeff, bool]]] = [[] for _ in range(n)]
+    # The covered parts of each row, one per block it meets, as
+    # ``(block row, top entries, top marks, bottom entries, bottom marks)``.
+    # Entries are ``(rank, coeff)`` pairs, best first; a variable is fixed
+    # at depth d exactly when its rank is at most d.
+    parts: list[list[tuple[int, list, list, list, list]]] = [[] for _ in range(n_rows)]
     for i, (coeffs, _, _) in enumerate(rows):
+        covered: dict[int, list[tuple[int, Coeff]]] = {}
         for j, c in coeffs:
-            cols[j].append((i, c))
-            if c < 0:
-                neg_rems[i] += c
-            else:
-                pos_rems[i] += c
+            b = block_of[j]
+            free = b < 0 or b == i
+            cols[j].append((i, c, free))
             if imp_value[j]:
                 imp_rems[i] += c
+            if free:
+                if c < 0:
+                    neg_rems[i] += c
+                else:
+                    pos_rems[i] += c
+            elif b in covered:
+                covered[b].append((rank[j], c))
+            else:
+                covered[b] = [(rank[j], c)]
+        for b, entries in covered.items():
+            # Exactly the block's remaining count of ones lands in a part
+            # spanning a whole "=" block; otherwise at most that many do, so
+            # only coefficients that move the bound outward count.
+            exact = rels[b] == _EQ and len(entries) == len(rows[b][0])
+            top = entries if exact else [e for e in entries if e[1] > 0]
+            bottom = entries if exact else [e for e in entries if e[1] < 0]
+            parts[i].append(
+                (
+                    b,
+                    sorted(top, key=itemgetter(1), reverse=True),
+                    [],
+                    sorted(bottom, key=itemgetter(1)),
+                    [],
+                )
+            )
 
-    def row_dead(i: int) -> bool:
-        lo = acts[i] + neg_rems[i]
-        hi = acts[i] + pos_rems[i]
+    def extreme(entries: list, marks: list, count: Coeff, depth: int) -> Coeff:
+        """Sum of the first ``count`` entries unfixed at ``depth``.
+
+        ``marks`` holds ``(d, k)`` pairs, depths increasing: every entry
+        before position k is fixed at depth d, hence at every deeper node.
+        Marks deeper than ``depth`` belong to a finished subtree and go.
+        """
+        if count <= 0:
+            return 0
+        while marks and marks[-1][0] > depth:
+            marks.pop()
+        k = marks[-1][1] if marks else 0
+        end = len(entries)
+        if k < end and entries[k][0] <= depth:
+            k += 1
+            while k < end and entries[k][0] <= depth:
+                k += 1
+            marks.append((depth, k))
+        total: Coeff = 0
+        while count > 0 and k < end:
+            at, c = entries[k]
+            if at > depth:
+                total += c
+                count -= 1
+            k += 1
+        return total
+
+    def row_dead(i: int, depth: int) -> bool:
         rel = rels[i]
-        if rel == _LE:
-            return lo > rhss[i]
-        if rel == _GE:
-            return hi < rhss[i]
-        return lo > rhss[i] or hi < rhss[i]
+        if rel != _GE:
+            lo = acts[i] + neg_rems[i]
+            for b, _, _, bottom, marks in parts[i]:
+                lo += extreme(bottom, marks, rhss[b] - acts[b], depth)
+            if lo > rhss[i]:
+                return True
+        if rel != _LE:
+            hi = acts[i] + pos_rems[i]
+            for b, top, marks, _, _ in parts[i]:
+                hi += extreme(top, marks, rhss[b] - acts[b], depth)
+            if hi < rhss[i]:
+                return True
+        return False
 
     def imp_bad(i: int) -> bool:
         lhs = acts[i] + imp_rems[i]
@@ -238,7 +368,7 @@ def solve(
     best_obj: Coeff | None = None
 
     # Rows can be dead before any branching (constant rows, empty problems).
-    if any(row_dead(i) for i in range(n_rows)):
+    if any(row_dead(i, -1) for i in range(n_rows)):
         return finish(SolveStatus.INFEASIBLE, 0)
     if n == 0:
         best_assignment, best_obj = (), problem.offset
@@ -252,7 +382,6 @@ def solve(
         best_obj = bound
         return finish(SolveStatus.OPTIMAL, 0)
 
-    order = sorted(range(n), key=lambda j: (-abs(objective[j]), j))
     fixed = [0] * n
 
     def try_order(coeff: Coeff) -> tuple[int, int]:
@@ -271,14 +400,15 @@ def solve(
         c = objective[j]
         if is_undo:
             bound -= (c if value else 0) - (c if c < 0 else 0)
-            for i, a in cols[j]:
+            for i, a, free in cols[j]:
                 was_bad = imp_bad(i)
                 if value:
                     acts[i] -= a
-                if a < 0:
-                    neg_rems[i] += a
-                else:
-                    pos_rems[i] += a
+                if free:
+                    if a < 0:
+                        neg_rems[i] += a
+                    else:
+                        pos_rems[i] += a
                 if imp_value[j]:
                     imp_rems[i] += a
                 if imp_bad(i) != was_bad:
@@ -303,14 +433,15 @@ def solve(
 
         fixed[j] = value
         bound += (c if value else 0) - (c if c < 0 else 0)
-        for i, a in cols[j]:
+        for i, a, free in cols[j]:
             was_bad = imp_bad(i)
             if value:
                 acts[i] += a
-            if a < 0:
-                neg_rems[i] -= a
-            else:
-                pos_rems[i] -= a
+            if free:
+                if a < 0:
+                    neg_rems[i] -= a
+                else:
+                    pos_rems[i] -= a
             if imp_value[j]:
                 imp_rems[i] -= a
             if imp_bad(i) != was_bad:
@@ -320,8 +451,8 @@ def solve(
         if best_obj is not None and bound >= best_obj:
             continue
         dead = False
-        for i, _ in cols[j]:
-            if row_dead(i):
+        for i, _, _ in cols[j]:
+            if row_dead(i, depth):
                 dead = True
                 break
         if dead:

@@ -234,8 +234,9 @@ def _leverage_attempt(
 
     # Variable layout: extra payments first, then first-transaction inputs,
     # then second-transaction inputs. Only the last block carries objective
-    # weight, so the solver branches extras before inputs, which keeps the
-    # change-matching rows tight early in the search.
+    # weight, and the solver branches by descending |objective| with ties to
+    # the lowest index, so it branches the second-transaction inputs first,
+    # then the extras, then the first-transaction inputs.
     n_first = len(viable)
     y = lambda i: i  # noqa: E731
     x1 = lambda idx: n_cand + idx  # noqa: E731

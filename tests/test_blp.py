@@ -37,6 +37,34 @@ def random_problem(rng: random.Random, max_vars: int = 14, max_rows: int = 8):
     return BlpProblem(n, objective, rows), objective, rows
 
 
+def cardinality_problem(rng: random.Random, max_vars: int = 12):
+    """Programs whose pruning leans on cardinality rows.
+
+    All-ones "=" / "<=" rows over random, partial and overlapping supports,
+    beside sparse mixed-sign rows; inequality rows get rational right-hand
+    sides half the time, though every coefficient is an integer.
+    """
+    n = rng.randint(1, max_vars)
+    objective = [rng.randint(-20, 20) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        support = set(rng.sample(range(n), rng.randint(1, n)))
+        coeffs = [1 if j in support else 0 for j in range(n)]
+        rows.append((coeffs, rng.choice(["=", "<="]), rng.randint(0, len(support) + 1)))
+    for _ in range(rng.randint(0, 4)):
+        coeffs = [rng.randint(-15, 15) if rng.random() < 0.6 else 0 for _ in range(n)]
+        rel = rng.choice(["<=", ">=", "="])
+        lo = sum(c for c in coeffs if c < 0)
+        hi = sum(c for c in coeffs if c > 0)
+        if rel != "=" and rng.random() < 0.5:
+            rhs = Fraction(rng.randint(3 * lo - 1, 3 * hi + 1), 3)
+        else:
+            rhs = rng.randint(lo, hi)
+        rows.append((coeffs, rel, rhs))
+    rng.shuffle(rows)
+    return BlpProblem(n, objective, rows), objective, rows
+
+
 class TestProblemConstruction:
     def test_row_length_mismatch(self):
         with pytest.raises(MalformedProblem):
@@ -125,11 +153,14 @@ class TestSolveBasics:
 
 
 class TestSolveAgainstEnumeration:
-    @given(seed=st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=250, deadline=None)
-    def test_objective_matches_exhaustive_minimum(self, seed):
+    @given(seed=st.integers(min_value=0, max_value=2**32), cardinality=st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_objective_matches_exhaustive_minimum(self, seed, cardinality):
         rng = random.Random(seed)
-        problem, objective, rows = random_problem(rng)
+        if cardinality:
+            problem, objective, rows = cardinality_problem(rng)
+        else:
+            problem, objective, rows = random_problem(rng)
         expected = enumerate_blp(problem.n_vars, objective, 0, rows)
         outcome = solve(problem, GENEROUS)
         if expected is None:
@@ -181,11 +212,15 @@ class TestSolveContracts:
         seed=st.integers(min_value=0, max_value=2**32),
         small=st.integers(min_value=1, max_value=200),
         extra=st.integers(min_value=0, max_value=2000),
+        cardinality=st.booleans(),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_monotone_node_budget(self, seed, small, extra):
+    @settings(max_examples=150, deadline=None)
+    def test_monotone_node_budget(self, seed, small, extra, cardinality):
         rng = random.Random(seed)
-        problem, _, _ = random_problem(rng, max_vars=12, max_rows=5)
+        if cardinality:
+            problem, _, _ = cardinality_problem(rng)
+        else:
+            problem, _, _ = random_problem(rng, max_vars=12, max_rows=5)
         short = solve(problem, GENEROUS, max_nodes=small)
         long = solve(problem, GENEROUS, max_nodes=small + extra)
         if short.status.has_assignment:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinlever.blp import SolveStatus
+from coinlever.blp import BlpProblem, SolveStatus, solve
+from coinlever.datasets import bundled_payment_dataset, bundled_utxo_dataset
 from coinlever.model import (
     FeeParams,
     NoGoodPrefix,
@@ -31,6 +32,13 @@ from coinlever.selection import (
     fallback_select,
     knapsack_select,
     leverage_select,
+)
+from coinlever.orchestrator import WorldState
+from coinlever.simulation import (
+    ScenarioConfig,
+    derive_seed,
+    sample_payments,
+    sample_utxo_pool,
 )
 
 from oracles import brute_fallback, brute_knapsack, brute_leverage, size_bytes
@@ -136,6 +144,52 @@ class TestKnapsack:
         assert tx.change == 0
         assert len(tx.inputs) == opt(pool, reqs, fees)
         assert is_good(tx, fees)
+
+
+class TestFullScaleKnapsack:
+    """Knapsack programs over the protocol's full-size pool (2,500 UTXOs)."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        # The first batch of repetition 0 of the gamma=200, M=2 cell.
+        config = ScenarioConfig(gamma=200, batch_size=2, rng_seed=2019)
+        pool = sample_utxo_pool(
+            bundled_utxo_dataset(),
+            config.utxo_pool_size,
+            random.Random(derive_seed(config.rng_seed, 0, "utxo")),
+        )
+        payments = sample_payments(
+            bundled_payment_dataset(),
+            config.payment_pool_size,
+            config.effective_min_payment,
+            random.Random(derive_seed(config.rng_seed, 0, "pay")),
+        )
+        batch = WorldState.initial(pool, payments).pending[: config.batch_size]
+        return pool, batch, config.fee_params()
+
+    def test_first_program_solved_to_optimality(self, sample):
+        pool, batch, fees = sample
+        outcome = attempt_selection(pool, batch, fees, GENEROUS, max_nodes=None)
+        (attempt,) = outcome.attempts
+        assert attempt.status is SolveStatus.OPTIMAL
+        assert attempt.nodes <= 10_000
+        # With one input the optimum is the smallest UTXO in the window.
+        assert opt(pool, batch, fees) == 1
+        target = sum(p.value for p in batch) + size_bytes(1, len(batch), 0) * fees.gamma
+        in_window = [v for v in pool.values() if target <= v <= target + fees.make_change]
+        assert attempt.objective == min(in_window)
+
+    def test_empty_window_proved_infeasible(self, sample):
+        pool, _, fees = sample
+        values = pool.values()
+        n = len(values)
+        window = fees.make_change
+        # The deepest gap between neighbouring values that the window fits in.
+        gap = max(i for i in range(n - 1) if values[i] - values[i + 1] > window + 1)
+        target = values[gap + 1] + 1
+        rows = [([1] * n, "=", 1), (values, ">=", target), (values, "<=", target + window)]
+        outcome = solve(BlpProblem(n, values, rows), GENEROUS, max_nodes=2 * n)
+        assert outcome.status is SolveStatus.INFEASIBLE
 
 
 def planted_leverage_instance(rng: random.Random, gamma: int):
