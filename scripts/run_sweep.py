@@ -7,14 +7,17 @@ this reproduces the complete experimental protocol. It took 118 s on a
 solver's cardinality-aware row bounds settle every full-scale knapsack
 program in at most about 1,500 nodes. --scale desk runs a reduced version
 in about 25 s. After the summary the script prints how many knapsack and
-leverage solver calls stopped at the node cap.
+leverage solver calls stopped at the node cap, and the SHA-256 of the JSON
+detail it wrote, so two checkouts' sweeps compare in one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import time
 from collections import Counter
+from pathlib import Path
 
 from coinlever.blp import SolveStatus
 from coinlever.io import emit_report, summary_markdown
@@ -79,6 +82,7 @@ def main() -> None:
         + ", ".join(f"{m} {stops[m]} of {calls[m]} calls" for m in ("knapsack", "leverage"))
     )
     print(f"swept {len(cells)} cells in {elapsed:.1f}s; detail in {args.out}")
+    print(f"sha256 {hashlib.sha256(Path(args.out).read_bytes()).hexdigest()}  {args.out}")
 
 
 if __name__ == "__main__":

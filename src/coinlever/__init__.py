@@ -32,8 +32,7 @@ from .orchestrator import (
     UnknownUtxo,
     WorldState,
     apply_update,
-    run_full_knapsack,
-    run_full_leverage,
+    run_full,
     step,
 )
 from .selection import (

@@ -198,7 +198,6 @@ def solve(
     budget: float,
     *,
     max_nodes: int | None = None,
-    improving_values: bool = False,
 ) -> SolveOutcome:
     """Branch-and-bound minimization of ``problem``.
 
@@ -210,11 +209,9 @@ def solve(
     and the search is fully deterministic.
 
     Branching picks the unfixed variable with the largest absolute objective
-    coefficient (ties to the lowest index) and tries value 1 first, which
-    favours selection-style problems that must pull items in to become
-    feasible. With ``improving_values`` each variable instead tries its
-    objective-improving value first, which suits problems whose cheap
-    solutions use few items.
+    coefficient (ties to the lowest index). A variable with a positive
+    objective coefficient tries 0 first and every other variable tries 1
+    first, so costly items stay out until a row pulls them in.
 
     At every node the solver also tests the completion that sets all
     remaining variables to their objective-improving values; when it
@@ -383,15 +380,17 @@ def solve(
         return finish(SolveStatus.OPTIMAL, 0)
 
     fixed = [0] * n
-
-    def try_order(coeff: Coeff) -> tuple[int, int]:
-        if improving_values and coeff > 0:
-            return (0, 1)
-        return (1, 0)
-
     stack: list[tuple[int, int, bool]] = []
-    for value in try_order(objective[order[0]])[::-1]:
-        stack.append((0, value, False))
+
+    def push(depth: int) -> None:
+        # Popped last in, first out: a variable with a positive objective
+        # coefficient tries 0 first, every other variable tries 1 first.
+        if objective[order[depth]] > 0:
+            stack.extend(((depth, 1, False), (depth, 0, False)))
+        else:
+            stack.extend(((depth, 0, False), (depth, 1, False)))
+
+    push(0)
 
     nodes = 0
     while stack:
@@ -471,9 +470,7 @@ def solve(
         if depth + 1 == n:
             continue
 
-        nxt = objective[order[depth + 1]]
-        for value in try_order(nxt)[::-1]:
-            stack.append((depth + 1, value, False))
+        push(depth + 1)
 
     return finish(
         SolveStatus.OPTIMAL if best_assignment is not None else SolveStatus.INFEASIBLE,

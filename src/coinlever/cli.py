@@ -22,13 +22,7 @@ from pathlib import Path
 from . import io as report_io
 from .datasets import bundled_payment_dataset, bundled_utxo_dataset
 from .model import NoGoodPrefix
-from .orchestrator import (
-    Exhausted,
-    FullRunResult,
-    WorldState,
-    run_full_knapsack,
-    run_full_leverage,
-)
+from .orchestrator import Exhausted, WorldState, run_full
 from .selection import attempt_selection
 from .simulation import (
     DatasetTooSmall,
@@ -193,7 +187,7 @@ def _load_world(args: argparse.Namespace) -> WorldState:
 
 def _write_or_print(text: str, path: str | None) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        report_io._write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -235,28 +229,19 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_run_full(args: argparse.Namespace) -> int:
     config = _scenario_config(args)
     state = _load_world(args)
-    fees = config.fee_params()
+    lev = config.leverage_params() if args.mode == Mode.LEVERAGE.value else None
     error = None
     code = EXIT_OK
     try:
-        if args.mode == Mode.LEVERAGE.value:
-            result = run_full_leverage(
-                state,
-                config.batch_size,
-                fees,
-                config.leverage_params(),
-                config.budget_seconds,
-                candidate_window=config.candidate_window,
-                max_nodes=config.node_budget,
-            )
-        else:
-            result = run_full_knapsack(
-                state,
-                config.batch_size,
-                fees,
-                config.budget_seconds,
-                max_nodes=config.node_budget,
-            )
+        result = run_full(
+            state,
+            config.batch_size,
+            config.fee_params(),
+            config.budget_seconds,
+            lev=lev,
+            candidate_window=config.candidate_window,
+            max_nodes=config.node_budget,
+        )
     except Exhausted as exc:
         result = exc.partial
         error = str(exc)

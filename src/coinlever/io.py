@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -262,25 +263,11 @@ def _record_from(d: dict) -> IterationRecord:
 
 
 def config_dict(config: ScenarioConfig) -> dict:
-    return {
-        "gamma": config.gamma,
-        "batch_size": config.batch_size,
-        "beta": fraction_str(config.beta) if config.beta is not None else None,
-        "extra_min": config.extra_min,
-        "extra_max": config.extra_max,
-        "utxo_pool_size": config.utxo_pool_size,
-        "payment_pool_size": config.payment_pool_size,
-        "min_payment": config.min_payment,
-        "iterations_per_sample": config.iterations_per_sample,
-        "repetitions": config.repetitions,
-        "rng_seed": config.rng_seed,
-        "budget_ms": config.budget_ms,
-        "node_budget": config.node_budget,
-        "candidate_window": config.candidate_window,
-        "dust": config.dust,
-        "make_change": config.make_change,
-        "btc_usd": fraction_str(config.btc_usd),
-    }
+    out = {}
+    for f in fields(ScenarioConfig):
+        value = getattr(config, f.name)
+        out[f.name] = fraction_str(value) if isinstance(value, Fraction) else value
+    return out
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:

@@ -2,8 +2,9 @@
 
 Each iteration funds the most urgent batch via the selector cascade, then
 updates the world: spent UTXOs leave the pool, a fallback's change output
-re-enters it, and funded payments leave the backlog. Two runners cover the
-knapsack-only and leverage-enabled flavours.
+re-enters it, and funded payments leave the backlog. ``run_full`` repeats
+the iteration until the backlog is empty, with leverage when given its
+parameters.
 """
 
 from __future__ import annotations
@@ -46,27 +47,15 @@ class Exhausted(Exception):
 
 @dataclass(frozen=True, slots=True)
 class WorldState:
-    """UTXO pool, full payment backlog, still-pending subset, iteration count."""
+    """UTXO pool, pending payments in urgency order, iteration count."""
 
     utxo_pool: UtxoPool
-    payment_pool: tuple[PaymentRequest, ...]
     pending: tuple[PaymentRequest, ...]
     iteration: int = 0
 
     @classmethod
-    def initial(
-        cls,
-        pool: UtxoPool,
-        payments: Sequence[PaymentRequest],
-        pending: Sequence[PaymentRequest] | None = None,
-    ) -> "WorldState":
-        ordered = tuple(sorted(payments, key=lambda p: p.urgency_rank))
-        if pending is None:
-            chosen = ordered
-        else:
-            ids = {p.id for p in pending}
-            chosen = tuple(p for p in ordered if p.id in ids)
-        return cls(pool, ordered, chosen, 0)
+    def initial(cls, pool: UtxoPool, payments: Sequence[PaymentRequest]) -> "WorldState":
+        return cls(pool, tuple(sorted(payments, key=lambda p: p.urgency_rank)), 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +128,6 @@ def apply_update(state: WorldState, record: IterationRecord) -> WorldState:
     done = set(record.processed_ids)
     return WorldState(
         utxo_pool=pool,
-        payment_pool=tuple(p for p in state.payment_pool if p.id not in done),
         pending=tuple(p for p in state.pending if p.id not in done),
         iteration=record.iteration,
     )
@@ -183,15 +171,22 @@ def step(
     return apply_update(state, record), record
 
 
-def _run_full(
+def run_full(
     state: WorldState,
     batch_size: int,
     fees: FeeParams,
     budget: float,
-    lev: LeverageParams | None,
-    candidate_window: int,
-    max_nodes: int | None,
+    *,
+    lev: LeverageParams | None = None,
+    candidate_window: int = DEFAULT_CANDIDATE_WINDOW,
+    max_nodes: int | None = None,
 ) -> FullRunResult:
+    """Process every pending payment: knapsack first, then leverage when
+    ``lev`` is given, then the fallback.
+
+    Raises Exhausted, carrying the completed records, when the pool cannot
+    fund a batch.
+    """
     records: list[IterationRecord] = []
     while state.pending:
         try:
@@ -209,29 +204,3 @@ def _run_full(
             raise Exhausted(state.iteration + 1, partial) from exc
         records.append(record)
     return FullRunResult(tuple(records), state)
-
-
-def run_full_knapsack(
-    state: WorldState,
-    batch_size: int,
-    fees: FeeParams,
-    budget: float,
-    *,
-    max_nodes: int | None = None,
-) -> FullRunResult:
-    """Process every pending payment, knapsack first with fallback."""
-    return _run_full(state, batch_size, fees, budget, None, 0, max_nodes)
-
-
-def run_full_leverage(
-    state: WorldState,
-    batch_size: int,
-    fees: FeeParams,
-    lev: LeverageParams,
-    budget: float,
-    *,
-    candidate_window: int = DEFAULT_CANDIDATE_WINDOW,
-    max_nodes: int | None = None,
-) -> FullRunResult:
-    """Process every pending payment, trying leverage before the fallback."""
-    return _run_full(state, batch_size, fees, budget, lev, candidate_window, max_nodes)

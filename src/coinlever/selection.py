@@ -257,7 +257,6 @@ def _leverage_attempt(
     rows.append(({y(i): 1 for i in range(n_cand)}, ">=", lev.min_extra))
     rows.append(({y(i): 1 for i in range(n_cand)}, "<=", lev.max_extra))
     first_sum = {x1(idx): values[j] for idx, j in enumerate(viable)}
-    rows.append((dict(first_sum), ">=", total_p + fee1))
     # The first transaction's change output must exist and clear dust.
     rows.append((dict(first_sum), ">=", total_p + fee1 + max(fees.dust, 1)))
     rows.append((dict(first_sum), "<=", first_cap))
@@ -269,9 +268,7 @@ def _leverage_attempt(
     rows.append((dict(balance), "<=", balance_rhs + lev.boost * fees.make_change))
 
     problem = BlpProblem(n_cand + n_first + n, {x2(j): 1 for j in range(n)}, rows)
-    # Cheap solutions use few second-transaction inputs, so branch those
-    # variables toward 0 first.
-    outcome = solve(problem, budget, max_nodes=max_nodes, improving_values=True)
+    outcome = solve(problem, budget, max_nodes=max_nodes)
     attempt = SolverAttempt(
         Method.LEVERAGE, outcome.status, outcome.nodes_explored, outcome.objective_value
     )

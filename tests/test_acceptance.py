@@ -26,7 +26,7 @@ from coinlever.model import (
     tx_cost,
     tx_size,
 )
-from coinlever.orchestrator import Exhausted, WorldState, run_full_knapsack, run_full_leverage
+from coinlever.orchestrator import Exhausted, WorldState, run_full
 from coinlever.selection import LeverageParams, SelectionFailed, fallback_select, knapsack_select, leverage_select
 from coinlever.simulation import (
     BATCH_SWEEP,
@@ -202,10 +202,10 @@ def test_criterion_4_goodness_and_conservation_on_full_runs():
             state = _desk_state(seed * 10 + (flavor == "leverage"))
             try:
                 if flavor == "knapsack":
-                    result = run_full_knapsack(state, 2, fees, GENEROUS, max_nodes=6_000)
+                    result = run_full(state, 2, fees, GENEROUS, max_nodes=6_000)
                 else:
-                    result = run_full_leverage(
-                        state, 2, fees, lev, GENEROUS, max_nodes=6_000
+                    result = run_full(
+                        state, 2, fees, GENEROUS, lev=lev, max_nodes=6_000
                     )
             except Exhausted as exc:
                 result = exc.partial

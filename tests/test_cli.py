@@ -201,3 +201,12 @@ class TestReport:
         text = capsys.readouterr().out
         assert text.startswith("gamma,M,beta,mode")
         assert "leverage" in text
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys, target):
+        report = tmp_path / "report.json"
+        report.write_text('{"cells": []}\n')
+        out = tmp_path if target == "directory" else tmp_path / "absent" / "summary.md"
+        code = main(["report", "--in", str(report), "--out", str(out)])
+        assert code == 2
+        assert "io error" in capsys.readouterr().err

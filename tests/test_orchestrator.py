@@ -24,8 +24,7 @@ from coinlever.orchestrator import (
     UnknownUtxo,
     WorldState,
     apply_update,
-    run_full_knapsack,
-    run_full_leverage,
+    run_full,
     step,
 )
 from coinlever.selection import LeverageParams, Method
@@ -126,14 +125,14 @@ class TestStepAndUpdate:
 class TestFullRuns:
     def test_empty_pending_is_vacuous(self):
         state = WorldState.initial(make_pool([5]), ())
-        result = run_full_knapsack(state, 2, FeeParams(gamma=0), GENEROUS)
+        result = run_full(state, 2, FeeParams(gamma=0), GENEROUS)
         assert result.records == ()
         assert result.total_cost == 0
 
     def test_single_fallback_iteration(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         state = WorldState.initial(make_pool([5, 3]), make_payments([4]))
-        result = run_full_knapsack(state, 1, fees, GENEROUS)
+        result = run_full(state, 1, fees, GENEROUS)
         assert [r.method for r in result.records] == [Method.FALLBACK]
         assert result.final_state.utxo_pool.values() == (3, 1)
 
@@ -141,7 +140,7 @@ class TestFullRuns:
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
         state = WorldState.initial(make_pool([10]), make_payments([7, 3]))
-        result = run_full_leverage(state, 1, fees, lev, GENEROUS)
+        result = run_full(state, 1, fees, GENEROUS, lev=lev)
         assert len(result.records) == 1
         assert result.total_cost == 0
         assert result.processed_count == 2
@@ -150,7 +149,7 @@ class TestFullRuns:
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         state = WorldState.initial(make_pool([5, 4]), make_payments([5, 100]))
         with pytest.raises(Exhausted) as exc:
-            run_full_knapsack(state, 1, fees, GENEROUS)
+            run_full(state, 1, fees, GENEROUS)
         partial = exc.value.partial
         assert len(partial.records) == 1
         assert partial.records[0].processed_ids == ("p0",)
@@ -167,7 +166,7 @@ class TestFullRuns:
         state = desk_state(rng)
         fees = FeeParams(gamma=gamma)
         try:
-            result = run_full_knapsack(state, batch, fees, GENEROUS, max_nodes=5_000)
+            result = run_full(state, batch, fees, GENEROUS, max_nodes=5_000)
         except Exhausted as exc:
             result = exc.value.partial
         check_run_invariants(state, result, fees)
@@ -185,14 +184,14 @@ class TestFullRuns:
         batch = 2
         lev = LeverageParams(min_extra=2, max_extra=2, boost=Fraction("0.54"))
         try:
-            lev_result = run_full_leverage(
-                state, batch, fees, lev, GENEROUS, max_nodes=5_000
+            lev_result = run_full(
+                state, batch, fees, GENEROUS, lev=lev, max_nodes=5_000
             )
         except Exhausted as exc:
             lev_result = exc.value.partial
         check_run_invariants(state, lev_result, fees)
         try:
-            knap_result = run_full_knapsack(state, batch, fees, GENEROUS, max_nodes=5_000)
+            knap_result = run_full(state, batch, fees, GENEROUS, max_nodes=5_000)
         except Exhausted:
             return
         if any(r.method is Method.LEVERAGE for r in lev_result.records):
