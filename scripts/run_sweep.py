@@ -8,7 +8,8 @@ solver's cardinality-aware row bounds settle every full-scale knapsack
 program in at most about 1,500 nodes. --scale desk runs a reduced version
 in about 25 s. After the summary the script prints how many knapsack and
 leverage solver calls stopped at the node cap, and the SHA-256 of the JSON
-detail it wrote, so two checkouts' sweeps compare in one line.
+detail and of the summary it wrote, so two checkouts' sweeps and tables
+compare in one line each.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 from coinlever.blp import SolveStatus
-from coinlever.io import emit_report, summary_markdown
+from coinlever.io import cell_dict, emit_report, summary_markdown
 from coinlever.simulation import ScenarioConfig, default_sweep_configs, sweep
 
 SCALES = {
@@ -75,14 +76,15 @@ def main() -> None:
 
     emit_report(cells, "json", args.out)
     emit_report(cells, "md", args.summary)
-    print(summary_markdown(cells))
+    print(summary_markdown([cell_dict(c) for c in cells]))
     calls, stops = node_cap_stops(cells, args.node_budget)
     print(
         "node-cap stops: "
         + ", ".join(f"{m} {stops[m]} of {calls[m]} calls" for m in ("knapsack", "leverage"))
     )
     print(f"swept {len(cells)} cells in {elapsed:.1f}s; detail in {args.out}")
-    print(f"sha256 {hashlib.sha256(Path(args.out).read_bytes()).hexdigest()}  {args.out}")
+    for path in (args.out, args.summary):
+        print(f"sha256 {hashlib.sha256(Path(path).read_bytes()).hexdigest()}  {path}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Subcommands: ``select`` (one selection over given pools), ``run-full``
 (iterate until the backlog is empty), ``simulate`` (the seeded scenario
-protocol, single cell or the built-in sweep), and ``report`` (re-emit a
-JSON report as a CSV/markdown summary).
+protocol, single cell or the built-in sweep), and ``report`` (the CSV/markdown
+summary of a JSON report, read from its ``summary`` and ``savings`` blocks).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 scenario error
 (partial output is still written).
@@ -22,13 +22,11 @@ from pathlib import Path
 from . import io as report_io
 from .datasets import bundled_payment_dataset, bundled_utxo_dataset
 from .model import NoGoodPrefix
-from .orchestrator import Exhausted, WorldState, run_full
-from .selection import attempt_selection
+from .orchestrator import Exhausted, WorldState, run_full, step
 from .simulation import (
     DatasetTooSmall,
     Mode,
     ScenarioConfig,
-    as_fraction,
     default_sweep_configs,
     sweep,
 )
@@ -64,26 +62,33 @@ class _Parser(argparse.ArgumentParser):
 
 _CONFIG_FIELDS = {f.name for f in fields(ScenarioConfig)}
 
+_FLAG_HELP = {
+    "gamma": "fee rate, satoshi per byte",
+    "batch_size": "urgent payments per iteration",
+    "beta": "leverage boost factor in [0,1]",
+    "extra_min": "min extra payments in leverage",
+    "extra_max": "max extra payments in leverage",
+    "rng_seed": "root RNG seed (rng_seed)",
+    "budget_ms": "solver wall budget per program",
+    "node_budget": "deterministic solver node cap",
+    "dust": "dust threshold override",
+    "make_change": "make-change threshold override",
+    "btc_usd": "USD price of one BTC",
+}
+
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per ScenarioConfig field: the kebab-case field name, except
+    ``--seed`` for ``rng_seed``. Fraction fields stay text for exact parsing."""
     parser.add_argument("--config", help="JSON file with ScenarioConfig fields")
-    parser.add_argument("--gamma", type=int, help="fee rate, satoshi per byte")
-    parser.add_argument("--batch-size", type=int, help="urgent payments per iteration")
-    parser.add_argument("--beta", help="leverage boost factor in [0,1]")
-    parser.add_argument("--extra-min", type=int, help="min extra payments in leverage")
-    parser.add_argument("--extra-max", type=int, help="max extra payments in leverage")
-    parser.add_argument("--utxo-pool-size", type=int)
-    parser.add_argument("--payment-pool-size", type=int)
-    parser.add_argument("--min-payment", type=int)
-    parser.add_argument("--iterations-per-sample", type=int)
-    parser.add_argument("--repetitions", type=int)
-    parser.add_argument("--seed", type=int, help="root RNG seed (rng_seed)")
-    parser.add_argument("--budget-ms", type=int, help="solver wall budget per program")
-    parser.add_argument("--node-budget", type=int, help="deterministic solver node cap")
-    parser.add_argument("--candidate-window", type=int)
-    parser.add_argument("--dust", type=int, help="dust threshold override")
-    parser.add_argument("--make-change", type=int, help="make-change threshold override")
-    parser.add_argument("--btc-usd", help="USD price of one BTC")
+    for f in fields(ScenarioConfig):
+        flag = "--seed" if f.name == "rng_seed" else "--" + f.name.replace("_", "-")
+        parser.add_argument(
+            flag,
+            dest=f.name,
+            type=str if "Fraction" in str(f.type) else int,
+            help=_FLAG_HELP.get(f.name),
+        )
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -140,40 +145,17 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         values.update(raw)
 
-    flag_map = {
-        "gamma": args.gamma,
-        "batch_size": args.batch_size,
-        "beta": args.beta,
-        "extra_min": args.extra_min,
-        "extra_max": args.extra_max,
-        "utxo_pool_size": args.utxo_pool_size,
-        "payment_pool_size": args.payment_pool_size,
-        "min_payment": args.min_payment,
-        "iterations_per_sample": args.iterations_per_sample,
-        "repetitions": args.repetitions,
-        "rng_seed": args.seed,
-        "budget_ms": args.budget_ms,
-        "node_budget": args.node_budget,
-        "candidate_window": args.candidate_window,
-        "dust": args.dust,
-        "make_change": args.make_change,
-        "btc_usd": args.btc_usd,
-    }
-    for name, value in flag_map.items():
-        if value is not None:
-            values[name] = value
+    for name in _CONFIG_FIELDS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
 
     if "rng_seed" not in values and os.environ.get(ENV_SEED):
         values["rng_seed"] = int(os.environ[ENV_SEED])
-    if values.get("beta") is not None:
-        values["beta"] = as_fraction(values["beta"])
-    if values.get("btc_usd") is not None:
-        values["btc_usd"] = as_fraction(values["btc_usd"])
     values.setdefault("gamma", 22)
     values.setdefault("batch_size", 2)
     try:
         return ScenarioConfig(**values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -197,30 +179,24 @@ def cmd_select(args: argparse.Namespace) -> int:
     state = _load_world(args)
     if not state.pending:
         raise UsageError("payment file holds no requests")
-    batch = state.pending[: config.batch_size]
     lev = config.leverage_params() if args.mode == Mode.LEVERAGE.value else None
-    candidates = (
-        state.pending[config.batch_size : config.batch_size + config.candidate_window]
-        if lev
-        else ()
-    )
     try:
-        outcome = attempt_selection(
-            state.utxo_pool,
-            batch,
+        _, record = step(
+            state,
+            config.batch_size,
             config.fee_params(),
             config.budget_seconds,
-            candidates=candidates,
             lev=lev,
+            candidate_window=config.candidate_window,
             max_nodes=config.node_budget,
         )
     except NoGoodPrefix as exc:
         print(f"selection failed: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     payload = {
-        "method": outcome.method.value,
-        "transactions": [report_io.tx_dict(tx) for tx in outcome.transactions],
-        "solver_attempts": [report_io.attempt_dict(a) for a in outcome.attempts],
+        "method": record.method.value,
+        "transactions": [report_io.tx_dict(tx) for tx in record.transactions],
+        "solver_attempts": [report_io.attempt_dict(a) for a in record.solver_attempts],
     }
     _write_or_print(report_io.dumps(payload), args.out)
     return EXIT_OK
@@ -267,7 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report_io.emit_report(cells, args.format, args.summary)
         log.info("wrote %s", args.summary)
     else:
-        sys.stdout.write(report_io.summary_markdown(cells))
+        sys.stdout.write(report_io.summary_markdown([report_io.cell_dict(c) for c in cells]))
     failures = [c for c in cells if c.error is not None]
     for cell in failures:
         print(
@@ -279,11 +255,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cells = report_io.load_report(args.input)
-    if args.format == "csv":
-        text = report_io.summary_csv(cells)
-    else:
-        text = report_io.summary_markdown(cells)
+    payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    summarize = report_io.summary_csv if args.format == "csv" else report_io.summary_markdown
+    try:
+        text = summarize(payload["cells"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # A JSON file that is not a coinlever report, or a damaged one.
+        print(f"data error: malformed report {args.input}: {exc!r}", file=sys.stderr)
+        return EXIT_DATA
     _write_or_print(text, args.out)
     return EXIT_OK
 

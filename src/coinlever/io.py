@@ -8,6 +8,9 @@ CSV formats (UTF-8, comma separated, header mandatory):
 JSON reports are fully deterministic: keys are sorted, satoshi amounts are
 integers, and every rational (USD figures, rates, boost factors) is an
 explicit decimal or ``num/den`` string, never a binary float.
+
+Reports are never decoded back into objects: the CSV/markdown summaries
+read the JSON cells that ``cell_dict`` produces, fresh or from a file.
 """
 
 from __future__ import annotations
@@ -19,18 +22,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .blp import SolveStatus
 from .model import PaymentRequest, Transaction, Utxo
 from .orchestrator import FullRunResult, IterationRecord
 from .selection import Method, SolverAttempt
 from .simulation import (
-    Mode,
     RepetitionOutcome,
     SavingsSummary,
     ScenarioConfig,
     ScenarioReport,
     SweepCell,
-    as_fraction,
 )
 
 
@@ -202,18 +202,6 @@ def tx_dict(tx: Transaction) -> dict:
     }
 
 
-def _tx_from(d: dict) -> Transaction:
-    return Transaction(
-        inputs=tuple(Utxo(u["id"], u["value_sat"]) for u in d["inputs"]),
-        payments=tuple(
-            PaymentRequest(p["id"], p["value_sat"], p["urgency_rank"])
-            for p in d["payments"]
-        ),
-        change=d["change_sat"],
-        overpayment=d["overpayment_sat"],
-    )
-
-
 def attempt_dict(a: SolverAttempt) -> dict:
     objective = a.objective
     if isinstance(objective, Fraction):
@@ -224,15 +212,6 @@ def attempt_dict(a: SolverAttempt) -> dict:
         "nodes": a.nodes,
         "objective": objective,
     }
-
-
-def _attempt_from(d: dict) -> SolverAttempt:
-    objective = d["objective"]
-    if isinstance(objective, str):
-        objective = Fraction(objective)
-    return SolverAttempt(
-        Method(d["method"]), SolveStatus(d["status"]), d["nodes"], objective
-    )
 
 
 def _record_dict(r: IterationRecord) -> dict:
@@ -248,35 +227,12 @@ def _record_dict(r: IterationRecord) -> dict:
     }
 
 
-def _record_from(d: dict) -> IterationRecord:
-    change = d["change_utxo"]
-    return IterationRecord(
-        iteration=d["iteration"],
-        method=Method(d["method"]),
-        transactions=tuple(_tx_from(tx) for tx in d["transactions"]),
-        processed_ids=tuple(d["processed_ids"]),
-        cost=d["cost_sat"],
-        solver_attempts=tuple(_attempt_from(a) for a in d["solver_attempts"]),
-        spent_utxo_ids=tuple(d["spent_utxo_ids"]),
-        change_utxo=Utxo(change["id"], change["value_sat"]) if change else None,
-    )
-
-
 def config_dict(config: ScenarioConfig) -> dict:
     out = {}
     for f in fields(ScenarioConfig):
         value = getattr(config, f.name)
         out[f.name] = fraction_str(value) if isinstance(value, Fraction) else value
     return out
-
-
-def config_from_dict(d: dict) -> ScenarioConfig:
-    data = dict(d)
-    if data.get("beta") is not None:
-        data["beta"] = as_fraction(data["beta"])
-    if data.get("btc_usd") is not None:
-        data["btc_usd"] = as_fraction(data["btc_usd"])
-    return ScenarioConfig(**data)
 
 
 def _repetition_dict(rep: RepetitionOutcome) -> dict:
@@ -287,16 +243,6 @@ def _repetition_dict(rep: RepetitionOutcome) -> dict:
         "sample_digest": rep.sample_digest,
         "records": [_record_dict(r) for r in rep.records],
     }
-
-
-def _repetition_from(d: dict) -> RepetitionOutcome:
-    return RepetitionOutcome(
-        index=d["index"],
-        ok=d["ok"],
-        failure=d["failure"],
-        sample_digest=d["sample_digest"],
-        records=tuple(_record_from(r) for r in d["records"]),
-    )
 
 
 def report_dict(report: ScenarioReport) -> dict:
@@ -320,26 +266,11 @@ def report_dict(report: ScenarioReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> ScenarioReport:
-    return ScenarioReport(
-        mode=Mode(d["mode"]),
-        config=config_from_dict(d["config"]),
-        repetitions=tuple(_repetition_from(rep) for rep in d["repetitions"]),
-    )
-
-
 def savings_dict(savings: SavingsSummary) -> dict:
     return {
         "percent_per_payment": fraction_str(savings.percent_per_payment),
         "usd_per_payment": fraction_str(savings.usd_per_payment),
     }
-
-
-def savings_from_dict(d: dict) -> SavingsSummary:
-    return SavingsSummary(
-        percent_per_payment=Fraction(d["percent_per_payment"]),
-        usd_per_payment=Fraction(d["usd_per_payment"]),
-    )
 
 
 def cell_dict(cell: SweepCell) -> dict:
@@ -350,16 +281,6 @@ def cell_dict(cell: SweepCell) -> dict:
         "savings": savings_dict(cell.savings) if cell.savings else None,
         "error": cell.error,
     }
-
-
-def cell_from_dict(d: dict) -> SweepCell:
-    return SweepCell(
-        config=config_from_dict(d["config"]),
-        no_leverage=report_from_dict(d["no_leverage"]) if d["no_leverage"] else None,
-        leverage=report_from_dict(d["leverage"]) if d["leverage"] else None,
-        savings=savings_from_dict(d["savings"]) if d["savings"] else None,
-        error=d["error"],
-    )
 
 
 def run_result_dict(result: FullRunResult, error: str | None = None) -> dict:
@@ -406,45 +327,59 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def _summary_rows(cells: Sequence[SweepCell]) -> list[list[str]]:
+def _summary_rows(cells: Sequence[dict]) -> list[list[str]]:
     rows = []
     for cell in cells:
-        if cell.error is not None:
+        if cell["error"] is not None:
             continue
-        beta = fixed_str(cell.config.effective_beta, 2)
+        config = ScenarioConfig(**cell["config"])
+        beta = fixed_str(config.effective_beta, 2)
+        savings = ["", ""]
+        if cell["savings"] is not None:
+            savings = [
+                fixed_str(Fraction(cell["savings"][key]), 6)
+                for key in ("percent_per_payment", "usd_per_payment")
+            ]
         for mode_name, report in (
-            ("no-leverage", cell.no_leverage),
-            ("leverage", cell.leverage),
+            ("no-leverage", cell["no_leverage"]),
+            ("leverage", cell["leverage"]),
         ):
             if report is None:
                 continue
-            with_savings = mode_name == "leverage" and cell.savings is not None
+            summary = report["summary"]
+            total = summary["iterations_total"]
+            # Exact rates from the counts; re-rounding the 6-place rate
+            # strings could change the fourth digit.
+            rates = [
+                fixed_str(Fraction(summary[f"{name}_count"], total or 1), 4)
+                for name in ("fallback", "knapsack", "leverage")
+            ]
             rows.append(
                 [
-                    str(cell.config.gamma),
-                    str(cell.config.batch_size),
+                    str(config.gamma),
+                    str(config.batch_size),
                     beta,
                     mode_name,
-                    fixed_str(report.fallback_rate, 4),
-                    fixed_str(report.knapsack_rate, 4),
-                    fixed_str(report.leverage_rate, 4),
-                    str(report.payments_processed),
-                    fixed_str(report.cost_per_payment_usd, 6),
-                    fixed_str(cell.savings.percent_per_payment, 6) if with_savings else "",
-                    fixed_str(cell.savings.usd_per_payment, 6) if with_savings else "",
+                    *rates,
+                    str(summary["payments_processed"]),
+                    summary["cost_per_payment_usd"],
+                    *(savings if mode_name == "leverage" else ["", ""]),
                 ]
             )
     return rows
 
 
-def summary_csv(cells: Sequence[SweepCell]) -> str:
+def summary_csv(cells: Sequence[dict]) -> str:
+    """CSV summary of JSON report cells, one row per mode per cell."""
     lines = [",".join(SUMMARY_COLUMNS)]
     for row in _summary_rows(cells):
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def summary_markdown(cells: Sequence[SweepCell]) -> str:
+def summary_markdown(cells: Sequence[dict]) -> str:
+    """Markdown result and savings tables of JSON report cells."""
+
     def table(headers: list[str], rows: list[list[str]]) -> list[str]:
         out = ["| " + " | ".join(headers) + " |"]
         out.append("|" + "|".join(" --- " for _ in headers) + "|")
@@ -496,17 +431,13 @@ def emit_report(
     cells: Sequence[SweepCell], format: str, path: str | Path
 ) -> None:
     """Write a sweep's reports as JSON detail or a CSV/markdown summary."""
+    dicts = [cell_dict(c) for c in cells]
     if format == "json":
-        _write_text(path, dumps({"cells": [cell_dict(c) for c in cells]}))
+        _write_text(path, dumps({"cells": dicts}))
     elif format == "csv":
-        _write_text(path, summary_csv(cells))
+        _write_text(path, summary_csv(dicts))
     elif format == "md":
-        _write_text(path, summary_markdown(cells))
+        _write_text(path, summary_markdown(dicts))
     else:
         raise ValueError(f"unknown format {format!r}")
 
-
-def load_report(path: str | Path) -> tuple[SweepCell, ...]:
-    """Read back a JSON report produced by emit_report."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return tuple(cell_from_dict(c) for c in payload["cells"])

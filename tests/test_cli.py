@@ -8,7 +8,7 @@ import pytest
 
 from coinlever.cli import main
 from coinlever.datasets import synthetic_payment_dataset, synthetic_utxo_dataset
-from coinlever.io import load_report, write_payments, write_utxos
+from coinlever.io import write_payments, write_utxos
 from coinlever.model import PaymentRequest, Utxo
 
 
@@ -51,6 +51,15 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [("--beta", "abc"), ("--btc-usd", "1/0")])
+    def test_usage_error_on_unparsable_fraction(self, pools, capsys, flag, value):
+        utxos, payments = pools
+        code = main(
+            ["simulate", "--utxos", str(utxos), "--payments", str(payments), flag, value]
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestSelect:
     def test_outputs_transaction_json(self, pools, capsys):
@@ -73,6 +82,20 @@ class TestSelect:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] in {"fallback", "knapsack", "leverage"}
+
+    def test_leverage_matches_run_full_first_record(self, tmp_path, capsys):
+        utxos = tmp_path / "utxos.csv"
+        payments = tmp_path / "payments.csv"
+        write_utxos(utxos, synthetic_utxo_dataset(300, 5))
+        write_payments(payments, synthetic_payment_dataset(60, 5))
+        args = ["--utxos", str(utxos), "--payments", str(payments), "--gamma", "200",
+                "--batch-size", "2", "--mode", "leverage", *FAST]
+        assert main(["select", *args]) == 0
+        selected = json.loads(capsys.readouterr().out)
+        assert main(["run-full", *args]) == 0
+        first = json.loads(capsys.readouterr().out)["records"][0]
+        assert selected["method"] == first["method"] == "leverage"
+        assert selected["transactions"] == first["transactions"]
 
     def test_scenario_error_when_pool_cannot_fund(self, tmp_path, capsys):
         utxos = tmp_path / "u.csv"
@@ -131,9 +154,9 @@ class TestSimulate:
              "--out", str(out), "--summary", str(summary), "--format", "csv"]
         )
         assert code == 0
-        cells = load_report(out)
+        cells = json.loads(out.read_text())["cells"]
         assert len(cells) == 1
-        assert cells[0].config.rng_seed == 9
+        assert cells[0]["config"]["rng_seed"] == 9
         assert summary.read_text().startswith("gamma,M,beta,mode")
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -150,9 +173,9 @@ class TestSimulate:
              "--out", str(out)]
         )
         assert code == 0
-        (cell,) = load_report(out)
-        assert cell.config.gamma == 200
-        assert cell.config.batch_size == 3
+        (cell,) = json.loads(out.read_text())["cells"]
+        assert cell["config"]["gamma"] == 200
+        assert cell["config"]["batch_size"] == 3
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -169,8 +192,8 @@ class TestSimulate:
              *FAST, "--out", str(out)]
         )
         assert code == 0
-        (cell,) = load_report(out)
-        assert cell.config.rng_seed == 777
+        (cell,) = json.loads(out.read_text())["cells"]
+        assert cell["config"]["rng_seed"] == 777
 
     def test_flag_seed_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COINLEVER_SEED", "777")
@@ -182,8 +205,8 @@ class TestSimulate:
              "--seed", "5", *FAST, "--out", str(out)]
         )
         assert code == 0
-        (cell,) = load_report(out)
-        assert cell.config.rng_seed == 5
+        (cell,) = json.loads(out.read_text())["cells"]
+        assert cell["config"]["rng_seed"] == 5
 
 
 class TestReport:
@@ -201,6 +224,13 @@ class TestReport:
         text = capsys.readouterr().out
         assert text.startswith("gamma,M,beta,mode")
         assert "leverage" in text
+
+    @pytest.mark.parametrize("text", ['{"cells": [{}]}', "[1]", "{}"])
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert main(["report", "--in", str(report)]) == 2
+        assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["directory", "missing-parent"])
     def test_unwritable_out_is_io_error(self, tmp_path, capsys, target):
