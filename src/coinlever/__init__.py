@@ -26,21 +26,16 @@ from .model import (
     tx_size,
 )
 from .orchestrator import (
-    Exhausted,
-    FullRunResult,
     IterationRecord,
     UnknownUtxo,
     WorldState,
     apply_update,
-    run_full,
     step,
 )
 from .selection import (
     BasicOutcome,
-    FailureReason,
     LeverageParams,
     Method,
-    SelectionFailed,
     SolverAttempt,
     attempt_selection,
     fallback_select,
@@ -57,6 +52,7 @@ from .simulation import (
     ZeroBaseline,
     default_sweep_configs,
     run_cell,
+    run_full,
     run_scenario,
     sample_payments,
     sample_utxo_pool,

@@ -75,7 +75,6 @@ class SolveOutcome:
     assignment: tuple[int, ...] | None
     objective_value: Coeff | None
     nodes_explored: int
-    elapsed: float
 
 
 class BlpProblem:
@@ -223,8 +222,7 @@ def solve(
     if max_nodes is not None and max_nodes <= 0:
         raise ValueError("max_nodes must be positive")
 
-    start = time.monotonic()
-    deadline = start + budget
+    deadline = time.monotonic() + budget
     n = problem.n_vars
     objective = problem.objective
     rows = problem.rows
@@ -353,13 +351,12 @@ def solve(
         return lhs != rhss[i]
 
     def finish(status: SolveStatus, nodes: int) -> SolveOutcome:
-        elapsed = time.monotonic() - start
         if status.has_assignment:
             assert best_assignment is not None
             if not check_feasible(problem, best_assignment):
                 raise RuntimeError("solver produced an infeasible assignment")
-            return SolveOutcome(status, best_assignment, best_obj, nodes, elapsed)
-        return SolveOutcome(status, None, None, nodes, elapsed)
+            return SolveOutcome(status, best_assignment, best_obj, nodes)
+        return SolveOutcome(status, None, None, nodes)
 
     best_assignment: tuple[int, ...] | None = None
     best_obj: Coeff | None = None

@@ -22,12 +22,14 @@ from pathlib import Path
 from . import io as report_io
 from .datasets import bundled_payment_dataset, bundled_utxo_dataset
 from .model import NoGoodPrefix
-from .orchestrator import Exhausted, WorldState, run_full, step
+from .orchestrator import WorldState, step
+from .selection import LeverageParams
 from .simulation import (
     DatasetTooSmall,
     Mode,
     ScenarioConfig,
     default_sweep_configs,
+    run_full,
     sweep,
 )
 
@@ -159,6 +161,15 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _leverage_params(config: ScenarioConfig, mode: str) -> LeverageParams | None:
+    if mode != Mode.LEVERAGE.value:
+        return None
+    try:
+        return config.leverage_params()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_world(args: argparse.Namespace) -> WorldState:
     utxos = report_io.load_utxos(args.utxos)
     payments = report_io.load_payments(args.payments)
@@ -179,7 +190,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     state = _load_world(args)
     if not state.pending:
         raise UsageError("payment file holds no requests")
-    lev = config.leverage_params() if args.mode == Mode.LEVERAGE.value else None
+    lev = _leverage_params(config, args.mode)
     try:
         _, record = step(
             state,
@@ -205,27 +216,20 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_run_full(args: argparse.Namespace) -> int:
     config = _scenario_config(args)
     state = _load_world(args)
-    lev = config.leverage_params() if args.mode == Mode.LEVERAGE.value else None
-    error = None
-    code = EXIT_OK
-    try:
-        result = run_full(
-            state,
-            config.batch_size,
-            config.fee_params(),
-            config.budget_seconds,
-            lev=lev,
-            candidate_window=config.candidate_window,
-            max_nodes=config.node_budget,
-        )
-    except Exhausted as exc:
-        result = exc.partial
-        error = str(exc)
-        code = EXIT_SCENARIO
-    _write_or_print(report_io.dumps(report_io.run_result_dict(result, error)), args.out)
-    if error:
-        print(error, file=sys.stderr)
-    return code
+    records, _, failure = run_full(
+        state,
+        config.batch_size,
+        config.fee_params(),
+        config.budget_seconds,
+        lev=_leverage_params(config, args.mode),
+        candidate_window=config.candidate_window,
+        max_nodes=config.node_budget,
+    )
+    _write_or_print(report_io.dumps(report_io.run_result_dict(records, failure)), args.out)
+    if failure:
+        print(failure, file=sys.stderr)
+        return EXIT_SCENARIO
+    return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import PaymentRequest, Transaction, Utxo
-from .orchestrator import FullRunResult, IterationRecord
+from .orchestrator import IterationRecord
 from .selection import Method, SolverAttempt
 from .simulation import (
     RepetitionOutcome,
@@ -258,9 +258,9 @@ def report_dict(report: ScenarioReport) -> dict:
             "fallback_count": report.method_count(Method.FALLBACK),
             "knapsack_count": report.method_count(Method.KNAPSACK),
             "leverage_count": report.method_count(Method.LEVERAGE),
-            "fallback_rate": fixed_str(report.fallback_rate, 6),
-            "knapsack_rate": fixed_str(report.knapsack_rate, 6),
-            "leverage_rate": fixed_str(report.leverage_rate, 6),
+            "fallback_rate": fixed_str(report.rate(Method.FALLBACK), 6),
+            "knapsack_rate": fixed_str(report.rate(Method.KNAPSACK), 6),
+            "leverage_rate": fixed_str(report.rate(Method.LEVERAGE), 6),
             "cost_per_payment_usd": fixed_str(report.cost_per_payment_usd, 6),
         },
     }
@@ -283,17 +283,19 @@ def cell_dict(cell: SweepCell) -> dict:
     }
 
 
-def run_result_dict(result: FullRunResult, error: str | None = None) -> dict:
-    counts = result.method_counts
+def run_result_dict(records: Sequence[IterationRecord], error: str | None = None) -> dict:
+    def count(method: Method) -> int:
+        return sum(1 for r in records if r.method is method)
+
     return {
-        "records": [_record_dict(r) for r in result.records],
+        "records": [_record_dict(r) for r in records],
         "totals": {
-            "iterations": len(result.records),
-            "payments_processed": result.processed_count,
-            "total_cost_sat": result.total_cost,
-            "fallback_count": counts[Method.FALLBACK],
-            "knapsack_count": counts[Method.KNAPSACK],
-            "leverage_count": counts[Method.LEVERAGE],
+            "iterations": len(records),
+            "payments_processed": sum(len(r.processed_ids) for r in records),
+            "total_cost_sat": sum(r.cost for r in records),
+            "fallback_count": count(Method.FALLBACK),
+            "knapsack_count": count(Method.KNAPSACK),
+            "leverage_count": count(Method.LEVERAGE),
         },
         "error": error,
     }

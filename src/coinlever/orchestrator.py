@@ -1,20 +1,18 @@
-"""Iterative processing of a payment backlog with pool bookkeeping.
+"""One iteration of payment-backlog processing, with pool bookkeeping.
 
-Each iteration funds the most urgent batch via the selector cascade, then
-updates the world: spent UTXOs leave the pool, a fallback's change output
-re-enters it, and funded payments leave the backlog. ``run_full`` repeats
-the iteration until the backlog is empty, with leverage when given its
-parameters.
+``step`` funds the most urgent batch via the selector cascade, then updates
+the world: spent UTXOs leave the pool, a fallback's change output re-enters
+it, and funded payments leave the backlog. The loop that repeats it lives
+in ``simulation.run_full``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .model import (
     FeeParams,
-    NoGoodPrefix,
     PaymentRequest,
     Transaction,
     Utxo,
@@ -34,15 +32,6 @@ DEFAULT_CANDIDATE_WINDOW = 64
 
 class UnknownUtxo(KeyError):
     """An iteration claims to spend a UTXO that is not in the pool."""
-
-
-class Exhausted(Exception):
-    """The pool ran dry mid-run; ``partial`` holds the completed records."""
-
-    def __init__(self, iteration: int, partial: "FullRunResult") -> None:
-        super().__init__(f"pool exhausted at iteration {iteration}")
-        self.iteration = iteration
-        self.partial = partial
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,39 +61,18 @@ class IterationRecord:
     change_utxo: Utxo | None
 
 
-@dataclass(frozen=True, slots=True)
-class FullRunResult:
-    records: tuple[IterationRecord, ...]
-    final_state: WorldState
-
-    @property
-    def processed_count(self) -> int:
-        return sum(len(r.processed_ids) for r in self.records)
-
-    @property
-    def total_cost(self) -> int:
-        return sum(r.cost for r in self.records)
-
-    @property
-    def method_counts(self) -> Mapping[Method, int]:
-        counts = {method: 0 for method in Method}
-        for record in self.records:
-            counts[record.method] += 1
-        return counts
-
-
 def _build_record(
     iteration: int, outcome: BasicOutcome, fees: FeeParams
 ) -> IterationRecord:
     transactions = outcome.transactions
     processed = tuple(p.id for tx in transactions for p in tx.payments)
-    spent = [u.id for u in outcome.primary_tx.inputs]
-    if outcome.secondary_tx is not None:
-        bridge_id = outcome.bridge.id if outcome.bridge else None
-        spent.extend(u.id for u in outcome.secondary_tx.inputs if u.id != bridge_id)
+    # A second transaction's first input is the bridge, not a pool UTXO.
+    spent = [u.id for u in transactions[0].inputs]
+    for tx in transactions[1:]:
+        spent.extend(u.id for u in tx.inputs[1:])
     change_utxo = None
-    if outcome.method is Method.FALLBACK and outcome.primary_tx.change > 0:
-        change_utxo = Utxo(f"change:{iteration}", outcome.primary_tx.change)
+    if outcome.method is Method.FALLBACK and transactions[0].change > 0:
+        change_utxo = Utxo(f"change:{iteration}", transactions[0].change)
     return IterationRecord(
         iteration=iteration,
         method=outcome.method,
@@ -169,38 +137,3 @@ def step(
     )
     record = _build_record(iteration, outcome, fees)
     return apply_update(state, record), record
-
-
-def run_full(
-    state: WorldState,
-    batch_size: int,
-    fees: FeeParams,
-    budget: float,
-    *,
-    lev: LeverageParams | None = None,
-    candidate_window: int = DEFAULT_CANDIDATE_WINDOW,
-    max_nodes: int | None = None,
-) -> FullRunResult:
-    """Process every pending payment: knapsack first, then leverage when
-    ``lev`` is given, then the fallback.
-
-    Raises Exhausted, carrying the completed records, when the pool cannot
-    fund a batch.
-    """
-    records: list[IterationRecord] = []
-    while state.pending:
-        try:
-            state, record = step(
-                state,
-                batch_size,
-                fees,
-                budget,
-                lev=lev,
-                candidate_window=candidate_window,
-                max_nodes=max_nodes,
-            )
-        except NoGoodPrefix as exc:
-            partial = FullRunResult(tuple(records), state)
-            raise Exhausted(state.iteration + 1, partial) from exc
-        records.append(record)
-    return FullRunResult(tuple(records), state)

@@ -2,9 +2,12 @@
 
 Each selector funds a fixed batch of payment requests from a sorted UTXO
 pool and returns good transactions. The knapsack and leverage selectors
-build binary programs and hand them to the branch-and-bound solver; the
-fallback selector is a largest-first prefix construction that always
-succeeds while the pool can cover the batch at all.
+build binary programs and hand them to the branch-and-bound solver; each
+returns its transaction(s), or None, together with the solver attempt that
+says why it failed. The fallback selector is a largest-first prefix
+construction that always succeeds while the pool can cover the batch at
+all. ``attempt_selection`` is the cascade: knapsack, then leverage, then
+the fallback.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .blp import BlpProblem, Coeff, SolveOutcome, SolveStatus, solve
+from .blp import BlpProblem, Coeff, SolveStatus, solve
 from .model import (
     FeeParams,
     NoGoodPrefix,
@@ -35,21 +38,6 @@ class Method(str, Enum):
     FALLBACK = "fallback"
     KNAPSACK = "knapsack"
     LEVERAGE = "leverage"
-
-
-class FailureReason(str, Enum):
-    INFEASIBLE = "infeasible"
-    NO_INCUMBENT_IN_BUDGET = "no-incumbent-in-budget"
-    NO_GOOD_PREFIX = "no-good-prefix"
-    TOO_FEW_CANDIDATES = "too-few-candidates"
-
-
-class SelectionFailed(Exception):
-    """A selector could not produce a transaction; ``reason`` says why."""
-
-    def __init__(self, reason: FailureReason, message: str) -> None:
-        super().__init__(message)
-        self.reason = reason
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,19 +68,15 @@ class SolverAttempt:
 
 @dataclass(frozen=True, slots=True)
 class BasicOutcome:
-    """Result of the knapsack -> leverage -> fallback cascade."""
+    """Result of the knapsack -> leverage -> fallback cascade.
+
+    A leverage outcome holds two transactions; the second one's first input
+    is the bridge, the first one's change output.
+    """
 
     method: Method
-    primary_tx: Transaction
-    secondary_tx: Transaction | None
-    bridge: Utxo | None
+    transactions: tuple[Transaction, ...]
     attempts: tuple[SolverAttempt, ...]
-
-    @property
-    def transactions(self) -> tuple[Transaction, ...]:
-        if self.secondary_tx is None:
-            return (self.primary_tx,)
-        return (self.primary_tx, self.secondary_tx)
 
 
 def fallback_select(
@@ -118,19 +102,29 @@ def fallback_select(
     return tx
 
 
-def _knapsack_attempt(
+def knapsack_select(
     pool: UtxoPool,
     batch: Sequence[PaymentRequest],
     fees: FeeParams,
     budget: float,
-    max_nodes: int | None,
-) -> tuple[Transaction | None, SolverAttempt | None, FailureReason | None]:
+    *,
+    max_nodes: int | None = None,
+) -> tuple[Transaction | None, SolverAttempt | None]:
+    """Minimal-overpayment change-free funding of the batch.
+
+    Uses exactly the optimal input count; the overpayment lands in
+    [0, make_change] (minimal when the search completes, otherwise any
+    feasible value found within the budget). The transaction is None when
+    none exists or none was found in time, as the attempt's status says;
+    the attempt is None when no largest-first prefix is good, so no program
+    was built.
+    """
     if not batch:
         raise ValueError("batch must be non-empty")
     try:
         k = opt(pool, batch, fees)
     except NoGoodPrefix:
-        return None, None, FailureReason.NO_GOOD_PREFIX
+        return None, None
     n = len(pool)
     values = pool.values()
     target = sum(p.value for p in batch) + tx_size(k, len(batch), 0) * fees.gamma
@@ -147,64 +141,48 @@ def _knapsack_attempt(
     attempt = SolverAttempt(
         Method.KNAPSACK, outcome.status, outcome.nodes_explored, outcome.objective_value
     )
-    if outcome.status is SolveStatus.INFEASIBLE:
-        return None, attempt, FailureReason.INFEASIBLE
     if not outcome.status.has_assignment:
-        return None, attempt, FailureReason.NO_INCUMBENT_IN_BUDGET
+        return None, attempt
     inputs = tuple(u for u, bit in zip(pool, outcome.assignment) if bit)
     overpayment = sum(u.value for u in inputs) - target
     tx = Transaction(inputs, tuple(batch), change=0, overpayment=overpayment)
     if not is_good(tx, fees):
         raise RuntimeError("knapsack solution failed the goodness check")
-    return tx, attempt, None
+    return tx, attempt
 
 
-def knapsack_select(
-    pool: UtxoPool,
-    batch: Sequence[PaymentRequest],
-    fees: FeeParams,
-    budget: float,
-    *,
-    max_nodes: int | None = None,
-) -> Transaction:
-    """Minimal-overpayment change-free funding of the batch.
-
-    Uses exactly the optimal input count; the overpayment lands in
-    [0, make_change] (minimal when the search completes, otherwise any
-    feasible value found within the budget). Raises SelectionFailed when no
-    such transaction exists or none was found in time.
-    """
-    tx, _, reason = _knapsack_attempt(pool, batch, fees, budget, max_nodes)
-    if tx is None:
-        raise SelectionFailed(reason, f"knapsack selection failed: {reason.value}")
-    return tx
-
-
-def _leverage_attempt(
+def leverage_select(
     pool: UtxoPool,
     batch: Sequence[PaymentRequest],
     candidates: Sequence[PaymentRequest],
     fees: FeeParams,
     lev: LeverageParams,
     budget: float,
-    max_nodes: int | None,
-    change_id: str,
-) -> tuple[
-    tuple[Transaction, Transaction, Utxo] | None,
-    SolverAttempt | None,
-    FailureReason | None,
-]:
+    *,
+    max_nodes: int | None = None,
+    change_id: str = "lev-change",
+) -> tuple[tuple[Transaction, Transaction] | None, SolverAttempt | None]:
+    """Fund the batch and a bundle of extra payments with a linked pair.
+
+    The first transaction spends the optimal input count and emits a change
+    output, which the second consumes (as ``change_id``, its first input)
+    together with as few further pool inputs as possible, paying between
+    ``min_extra`` and ``max_extra`` of the candidate requests change-free.
+    The pair is None when infeasible or out of budget, as the attempt's
+    status says; the attempt is None when no program was built, for want of
+    candidates or of a good largest-first prefix.
+    """
     if not batch:
         raise ValueError("batch must be non-empty")
     batch_ids = {p.id for p in batch}
     if any(c.id in batch_ids for c in candidates):
         raise ValueError("candidates must be disjoint from the batch")
     if len(candidates) < lev.min_extra:
-        return None, None, FailureReason.TOO_FEW_CANDIDATES
+        return None, None
     try:
         k = opt(pool, batch, fees)
     except NoGoodPrefix:
-        return None, None, FailureReason.NO_GOOD_PREFIX
+        return None, None
 
     n = len(pool)
     n_cand = len(candidates)
@@ -272,10 +250,8 @@ def _leverage_attempt(
     attempt = SolverAttempt(
         Method.LEVERAGE, outcome.status, outcome.nodes_explored, outcome.objective_value
     )
-    if outcome.status is SolveStatus.INFEASIBLE:
-        return None, attempt, FailureReason.INFEASIBLE
     if not outcome.status.has_assignment:
-        return None, attempt, FailureReason.NO_INCUMBENT_IN_BUDGET
+        return None, attempt
 
     bits = outcome.assignment
     first_inputs = tuple(pool.utxos[j] for idx, j in enumerate(viable) if bits[x1(idx)])
@@ -305,7 +281,7 @@ def _leverage_attempt(
         raise RuntimeError("leverage solution failed the goodness check")
     if overpay2 > lev.boost * fees.make_change:
         raise RuntimeError("leverage overpayment exceeds the boosted threshold")
-    return (tx1, tx2, bridge), attempt, None
+    return (tx1, tx2), attempt
 
 
 def _best_single_input_pairing(
@@ -405,34 +381,6 @@ def _shrink_first_inputs(
     return best
 
 
-def leverage_select(
-    pool: UtxoPool,
-    batch: Sequence[PaymentRequest],
-    candidates: Sequence[PaymentRequest],
-    fees: FeeParams,
-    lev: LeverageParams,
-    budget: float,
-    *,
-    max_nodes: int | None = None,
-    change_id: str = "lev-change",
-) -> tuple[Transaction, Transaction]:
-    """Fund the batch and a bundle of extra payments with a linked pair.
-
-    The first transaction spends the optimal input count and emits a change
-    output, which the second consumes (as ``change_id``) together with as few
-    further pool inputs as possible, paying between ``min_extra`` and
-    ``max_extra`` of the candidate requests change-free. Raises
-    SelectionFailed when infeasible, out of budget, or short of candidates.
-    """
-    result, _, reason = _leverage_attempt(
-        pool, batch, candidates, fees, lev, budget, max_nodes, change_id
-    )
-    if result is None:
-        raise SelectionFailed(reason, f"leverage selection failed: {reason.value}")
-    tx1, tx2, _ = result
-    return tx1, tx2
-
-
 def attempt_selection(
     pool: UtxoPool,
     batch: Sequence[PaymentRequest],
@@ -449,21 +397,21 @@ def attempt_selection(
     Raises NoGoodPrefix when even the fallback cannot fund the batch.
     """
     attempts: list[SolverAttempt] = []
-    tx, attempt, _ = _knapsack_attempt(pool, batch, fees, budget, max_nodes)
+    tx, attempt = knapsack_select(pool, batch, fees, budget, max_nodes=max_nodes)
     if attempt is not None:
         attempts.append(attempt)
     if tx is not None:
-        return BasicOutcome(Method.KNAPSACK, tx, None, None, tuple(attempts))
+        return BasicOutcome(Method.KNAPSACK, (tx,), tuple(attempts))
 
     if lev is not None:
-        result, attempt, _ = _leverage_attempt(
-            pool, batch, candidates, fees, lev, budget, max_nodes, change_id
+        pair, attempt = leverage_select(
+            pool, batch, candidates, fees, lev, budget,
+            max_nodes=max_nodes, change_id=change_id,
         )
         if attempt is not None:
             attempts.append(attempt)
-        if result is not None:
-            tx1, tx2, bridge = result
-            return BasicOutcome(Method.LEVERAGE, tx1, tx2, bridge, tuple(attempts))
+        if pair is not None:
+            return BasicOutcome(Method.LEVERAGE, pair, tuple(attempts))
 
     tx = fallback_select(pool, batch, fees)
-    return BasicOutcome(Method.FALLBACK, tx, None, None, tuple(attempts))
+    return BasicOutcome(Method.FALLBACK, (tx,), tuple(attempts))

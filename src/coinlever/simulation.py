@@ -1,9 +1,11 @@
-"""Simulation harness: seeded sampling, scenario runs, sweeps, savings.
+"""Simulation harness: the run loop, seeded sampling, scenario runs, sweeps.
 
-A scenario fixes the fee rate, batch size, boost factor, pool sizes, and
-seeds; running it repeatedly samples fresh pools, drives the orchestrator a
-fixed number of iterations per sample, and aggregates method success rates
-and costs. Matched seeds guarantee that the leverage-enabled and
+``run_full`` is the one loop over ``orchestrator.step``: it processes a
+backlog until it is empty, the pool runs dry, or an iteration limit is
+reached. A scenario fixes the fee rate, batch size, boost factor, pool
+sizes, and seeds; running it repeatedly samples fresh pools, runs the loop
+a fixed number of iterations per sample, and aggregates method success
+rates and costs. Matched seeds guarantee that the leverage-enabled and
 knapsack-only modes see identical samples, so their cost difference is
 attributable to the algorithm alone.
 """
@@ -18,15 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .datasets import bundled_payment_dataset, bundled_utxo_dataset
-from .model import (
-    FeeParams,
-    NoGoodPrefix,
-    PaymentRequest,
-    Utxo,
-    UtxoPool,
-    dust_threshold,
-)
-from .orchestrator import IterationRecord, WorldState, step
+from .model import FeeParams, NoGoodPrefix, PaymentRequest, Utxo, UtxoPool
+from .orchestrator import DEFAULT_CANDIDATE_WINDOW, IterationRecord, WorldState, step
 from .selection import LeverageParams, Method
 
 GAMMA_SWEEP = (22, 60, 200, 400, 900)
@@ -126,6 +121,13 @@ class ScenarioConfig:
             raise ValueError("candidate_window must be at least 1")
         if self.beta is not None and not 0 <= self.beta <= 1:
             raise ValueError("beta must lie in [0, 1]")
+        if self.btc_usd <= 0:
+            raise ValueError("btc_usd must be positive")
+        for name in ("extra_min", "extra_max"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1 when set")
+        if None not in (self.extra_min, self.extra_max) and self.extra_min > self.extra_max:
+            raise ValueError("extra_min must not exceed extra_max")
 
     @property
     def effective_beta(self) -> Fraction:
@@ -260,18 +262,6 @@ class ScenarioReport:
         return Fraction(self.method_count(method), self.iterations_total)
 
     @property
-    def fallback_rate(self) -> Fraction:
-        return self.rate(Method.FALLBACK)
-
-    @property
-    def knapsack_rate(self) -> Fraction:
-        return self.rate(Method.KNAPSACK)
-
-    @property
-    def leverage_rate(self) -> Fraction:
-        return self.rate(Method.LEVERAGE)
-
-    @property
     def cost_per_payment_usd(self) -> Fraction:
         if self.payments_processed == 0:
             return Fraction(0)
@@ -299,6 +289,42 @@ class SweepCell:
     error: str | None = None
 
 
+def run_full(
+    state: WorldState,
+    batch_size: int,
+    fees: FeeParams,
+    budget: float,
+    *,
+    lev: LeverageParams | None = None,
+    candidate_window: int = DEFAULT_CANDIDATE_WINDOW,
+    max_nodes: int | None = None,
+    limit: int | None = None,
+) -> tuple[tuple[IterationRecord, ...], WorldState, str | None]:
+    """Step until the backlog is empty or ``limit`` iterations have run:
+    knapsack first, then leverage when ``lev`` is given, then the fallback.
+
+    Returns the records, the final state, and None; or, when the pool
+    cannot fund a batch, the records so far, the state before that batch,
+    and "pool exhausted at iteration N".
+    """
+    records: list[IterationRecord] = []
+    while state.pending and (limit is None or len(records) < limit):
+        try:
+            state, record = step(
+                state,
+                batch_size,
+                fees,
+                budget,
+                lev=lev,
+                candidate_window=candidate_window,
+                max_nodes=max_nodes,
+            )
+        except NoGoodPrefix:
+            return tuple(records), state, f"pool exhausted at iteration {state.iteration + 1}"
+        records.append(record)
+    return tuple(records), state, None
+
+
 def run_scenario(
     config: ScenarioConfig,
     mode: Mode,
@@ -309,8 +335,8 @@ def run_scenario(
     """Run all repetitions of one scenario in the given mode.
 
     Each repetition samples a fresh pool and payment backlog from seeds
-    derived only from (rng_seed, repetition index), then advances the
-    orchestrator at most ``iterations_per_sample`` times. Repetitions that
+    derived only from (rng_seed, repetition index), then runs ``run_full``
+    for at most ``iterations_per_sample`` iterations. Repetitions that
     exhaust the pool or cannot be sampled are recorded as failed and left
     out of the aggregate tallies.
     """
@@ -332,36 +358,23 @@ def run_scenario(
                 RepetitionOutcome(rep, False, f"sampling: {exc}", "", ())
             )
             continue
-        digest = _sample_digest(pool, batch)
-        state = WorldState.initial(pool, batch)
-        records: list[IterationRecord] = []
-        failure = None
-        for _ in range(config.iterations_per_sample):
-            if not state.pending:
-                break
-            try:
-                state, record = step(
-                    state,
-                    config.batch_size,
-                    fees,
-                    config.budget_seconds,
-                    lev=lev,
-                    candidate_window=config.candidate_window,
-                    max_nodes=config.node_budget,
-                )
-            except NoGoodPrefix:
-                failure = f"pool exhausted at iteration {state.iteration + 1}"
-                break
-            records.append(record)
+        records, _, failure = run_full(
+            WorldState.initial(pool, batch),
+            config.batch_size,
+            fees,
+            config.budget_seconds,
+            lev=lev,
+            candidate_window=config.candidate_window,
+            max_nodes=config.node_budget,
+            limit=config.iterations_per_sample,
+        )
         outcomes.append(
-            RepetitionOutcome(rep, failure is None, failure, digest, tuple(records))
+            RepetitionOutcome(rep, failure is None, failure, _sample_digest(pool, batch), records)
         )
     return ScenarioReport(mode=mode, config=config, repetitions=tuple(outcomes))
 
 
-def summarize(
-    no_lev: ScenarioReport, lev: ScenarioReport, config: ScenarioConfig
-) -> SavingsSummary:
+def summarize(no_lev: ScenarioReport, lev: ScenarioReport) -> SavingsSummary:
     """Per-payment savings of the leverage run against the baseline run."""
     baseline = no_lev.cost_per_payment_usd
     if no_lev.total_cost == 0 or baseline == 0:
@@ -402,7 +415,7 @@ def run_cell(
         config, Mode.LEVERAGE, utxo_dataset=utxo_dataset, payment_dataset=payment_dataset
     )
     try:
-        savings = summarize(no_lev, lev, config)
+        savings = summarize(no_lev, lev)
     except ZeroBaseline:
         savings = None
     return SweepCell(config, no_lev, lev, savings)

@@ -26,14 +26,15 @@ from coinlever.model import (
     tx_cost,
     tx_size,
 )
-from coinlever.orchestrator import Exhausted, WorldState, run_full
-from coinlever.selection import LeverageParams, SelectionFailed, fallback_select, knapsack_select, leverage_select
+from coinlever.orchestrator import WorldState
+from coinlever.selection import LeverageParams, Method, fallback_select, knapsack_select, leverage_select
 from coinlever.simulation import (
     BATCH_SWEEP,
     GAMMA_SWEEP,
     Mode,
     ScenarioConfig,
     default_sweep_configs,
+    run_full,
     run_scenario,
     sample_payments,
     sample_utxo_pool,
@@ -131,12 +132,8 @@ def test_criterion_3_selectors_match_brute_force():
         assert got_fb == expected_fb
 
         expected_knap = brute_knapsack(values, payments, gamma, fees.make_change, fees.dust)
-        try:
-            tx = knapsack_select(pool, reqs, fees, GENEROUS)
-            got_knap = tx.overpayment
-        except SelectionFailed:
-            got_knap = None
-        assert got_knap == expected_knap
+        tx, _ = knapsack_select(pool, reqs, fees, GENEROUS)
+        assert (None if tx is None else tx.overpayment) == expected_knap
         basic_checked += 1
 
     lev_checked = 0
@@ -165,15 +162,11 @@ def test_criterion_3_selectors_match_brute_force():
             beta, min_extra, max_extra,
         )
         lev = LeverageParams(min_extra=min_extra, max_extra=max_extra, boost=beta)
-        try:
-            _, tx2 = leverage_select(
-                make_pool(values), make_payments(payments),
-                make_payments(cands, prefix="c"), fees, lev, GENEROUS,
-            )
-            got = len(tx2.inputs) - 1
-        except SelectionFailed:
-            got = None
-        assert got == expected
+        pair, _ = leverage_select(
+            make_pool(values), make_payments(payments),
+            make_payments(cands, prefix="c"), fees, lev, GENEROUS,
+        )
+        assert (None if pair is None else len(pair[1].inputs) - 1) == expected
         lev_checked += 1
 
     elapsed = time.monotonic() - start
@@ -200,18 +193,13 @@ def test_criterion_4_goodness_and_conservation_on_full_runs():
     for seed in range(25):
         for flavor in ("knapsack", "leverage"):
             state = _desk_state(seed * 10 + (flavor == "leverage"))
-            try:
-                if flavor == "knapsack":
-                    result = run_full(state, 2, fees, GENEROUS, max_nodes=6_000)
-                else:
-                    result = run_full(
-                        state, 2, fees, GENEROUS, lev=lev, max_nodes=6_000
-                    )
-            except Exhausted as exc:
-                result = exc.partial
+            records, final_state, _ = run_full(
+                state, 2, fees, GENEROUS,
+                lev=lev if flavor == "leverage" else None, max_nodes=6_000,
+            )
             processed_ids: set[str] = set()
             paid = 0
-            for record in result.records:
+            for record in records:
                 for tx in record.transactions:
                     assert is_good(tx, fees)
                     fee = tx.size_bytes * fees.gamma
@@ -228,7 +216,7 @@ def test_criterion_4_goodness_and_conservation_on_full_runs():
                     tx_cost(tx, fees) for tx in record.transactions
                 )
             assert state.utxo_pool.total() == (
-                result.final_state.utxo_pool.total() + paid + result.total_cost
+                final_state.utxo_pool.total() + paid + sum(r.cost for r in records)
             )
             runs += 1
     assert runs == 50
@@ -252,15 +240,12 @@ def test_criterion_5_protocol_fidelity():
     )
     report = run_scenario(config, Mode.NO_LEVERAGE)
     assert report.failed_count == 0
-    assert report.leverage_rate == 0
-    assert report.fallback_rate + report.knapsack_rate + report.leverage_rate == 1
+    assert report.rate(Method.LEVERAGE) == 0
+    assert sum(report.rate(m) for m in Method) == 1
     for rep in report.ok_repetitions:
         assert rep.payments_processed == config.iterations_per_sample * config.batch_size
     lev_report = run_scenario(config, Mode.LEVERAGE)
-    assert (
-        lev_report.fallback_rate + lev_report.knapsack_rate + lev_report.leverage_rate
-        == 1
-    )
+    assert sum(lev_report.rate(m) for m in Method) == 1
     print(
         "ACCEPTANCE 5 PASS: no-leverage runs report exactly zero leverage rate, "
         "rates sum to 1, processed = iterations x batch"
@@ -295,7 +280,7 @@ def test_criterion_6_directional_savings():
         a, b = no_lev.cost_per_payment_usd, lev.cost_per_payment_usd
         cpp_no.append(a)
         cpp_lev.append(b)
-        pct_values.append(summarize(no_lev, lev, config).percent_per_payment)
+        pct_values.append(summarize(no_lev, lev).percent_per_payment)
         if b < a:
             wins += 1
         elif b > a:

@@ -60,6 +60,34 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("simulate", ["--btc-usd", "-5"]),
+            ("simulate", ["--btc-usd", "0"]),
+            ("select", ["--extra-min", "0"]),
+            ("select", ["--extra-max", "0"]),
+            ("select", ["--mode", "leverage", "--extra-min", "5", "--extra-max", "2"]),
+            # The unset bound defaults to the batch size, which leaves min > max.
+            ("select", ["--mode", "leverage", "--extra-min", "5"]),
+            ("run-full", ["--mode", "leverage", "--batch-size", "3", "--extra-max", "1"]),
+        ],
+        ids=["negative-price", "zero-price", "extra-min-0", "extra-max-0",
+             "min-above-max", "min-above-default-max", "default-min-above-max"],
+    )
+    def test_usage_error_on_bad_price_or_leverage_bounds(
+        self, pools, tmp_path, capsys, command, flags
+    ):
+        utxos, payments = pools
+        small = ["--utxo-pool-size", "100", "--payment-pool-size", "20",
+                 "--repetitions", "1", "--iterations-per-sample", "1"]
+        code = main(
+            [command, "--utxos", str(utxos), "--payments", str(payments), *FAST, *small,
+             "--out", str(tmp_path / "out.json"), *flags]
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestSelect:
     def test_outputs_transaction_json(self, pools, capsys):

@@ -25,6 +25,7 @@ from coinlever.io import (
     write_payments,
     write_utxos,
 )
+from coinlever.selection import Method
 from coinlever.simulation import ScenarioConfig, run_cell
 
 DESK = dict(
@@ -142,9 +143,7 @@ class TestJsonRoundTrip:
         assert lev_row[2:] == [
             fixed_str(cell.config.effective_beta, 2),
             "leverage",
-            fixed_str(report.fallback_rate, 4),
-            fixed_str(report.knapsack_rate, 4),
-            fixed_str(report.leverage_rate, 4),
+            *(fixed_str(report.rate(m), 4) for m in Method),
             str(report.payments_processed),
             fixed_str(report.cost_per_payment_usd, 6),
             fixed_str(cell.savings.percent_per_payment, 6),

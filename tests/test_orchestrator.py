@@ -1,4 +1,4 @@
-"""Tests for the iterative full-problem runners."""
+"""Tests for one orchestrator step and for whole runs of the step loop."""
 
 from __future__ import annotations
 
@@ -18,16 +18,9 @@ from coinlever.model import (
     is_good,
     tx_cost,
 )
-from coinlever.orchestrator import (
-    Exhausted,
-    FullRunResult,
-    UnknownUtxo,
-    WorldState,
-    apply_update,
-    run_full,
-    step,
-)
+from coinlever.orchestrator import UnknownUtxo, WorldState, apply_update, step
 from coinlever.selection import LeverageParams, Method
+from coinlever.simulation import run_full
 
 GENEROUS = 30.0
 
@@ -52,25 +45,23 @@ def desk_state(rng: random.Random, n_utxos=60, n_payments=12) -> WorldState:
     return WorldState.initial(make_pool(values), make_payments(payments))
 
 
-def check_run_invariants(initial: WorldState, result: FullRunResult, fees: FeeParams):
+def check_run_invariants(initial: WorldState, records, final_state: WorldState, fees: FeeParams):
     """Trace-validation oracle: goodness, conservation, disjointness, order."""
     processed: set[str] = set()
-    for record in result.records:
+    for record in records:
         for tx in record.transactions:
             assert is_good(tx, fees)
         ids = set(record.processed_ids)
         assert not ids & processed
         processed |= ids
         assert record.cost == sum(tx_cost(tx, fees) for tx in record.transactions)
-    values = result.final_state.utxo_pool.values()
+    values = final_state.utxo_pool.values()
     assert all(a >= b for a, b in zip(values, values[1:]))
-    paid = sum(
-        p.value for r in result.records for tx in r.transactions for p in tx.payments
-    )
+    paid = sum(p.value for r in records for tx in r.transactions for p in tx.payments)
     assert initial.utxo_pool.total() == (
-        result.final_state.utxo_pool.total() + paid + result.total_cost
+        final_state.utxo_pool.total() + paid + sum(r.cost for r in records)
     )
-    assert sum(result.method_counts.values()) == len(result.records)
+    assert final_state.iteration == initial.iteration + len(records)
 
 
 class TestStepAndUpdate:
@@ -125,35 +116,31 @@ class TestStepAndUpdate:
 class TestFullRuns:
     def test_empty_pending_is_vacuous(self):
         state = WorldState.initial(make_pool([5]), ())
-        result = run_full(state, 2, FeeParams(gamma=0), GENEROUS)
-        assert result.records == ()
-        assert result.total_cost == 0
+        assert run_full(state, 2, FeeParams(gamma=0), GENEROUS) == ((), state, None)
 
     def test_single_fallback_iteration(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         state = WorldState.initial(make_pool([5, 3]), make_payments([4]))
-        result = run_full(state, 1, fees, GENEROUS)
-        assert [r.method for r in result.records] == [Method.FALLBACK]
-        assert result.final_state.utxo_pool.values() == (3, 1)
+        records, final_state, failure = run_full(state, 1, fees, GENEROUS)
+        assert [r.method for r in records] == [Method.FALLBACK]
+        assert final_state.utxo_pool.values() == (3, 1)
+        assert failure is None
 
     def test_leverage_trivial_pair_run(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
         state = WorldState.initial(make_pool([10]), make_payments([7, 3]))
-        result = run_full(state, 1, fees, GENEROUS, lev=lev)
-        assert len(result.records) == 1
-        assert result.total_cost == 0
-        assert result.processed_count == 2
+        (record,), _, _ = run_full(state, 1, fees, GENEROUS, lev=lev)
+        assert record.cost == 0
+        assert len(record.processed_ids) == 2
 
     def test_exhausted_carries_partial(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         state = WorldState.initial(make_pool([5, 4]), make_payments([5, 100]))
-        with pytest.raises(Exhausted) as exc:
-            run_full(state, 1, fees, GENEROUS)
-        partial = exc.value.partial
-        assert len(partial.records) == 1
-        assert partial.records[0].processed_ids == ("p0",)
-        assert exc.value.iteration == 2
+        records, final_state, failure = run_full(state, 1, fees, GENEROUS)
+        assert [r.processed_ids for r in records] == [("p0",)]
+        assert final_state.iteration == 1
+        assert failure == "pool exhausted at iteration 2"
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
@@ -165,12 +152,9 @@ class TestFullRuns:
         rng = random.Random(seed)
         state = desk_state(rng)
         fees = FeeParams(gamma=gamma)
-        try:
-            result = run_full(state, batch, fees, GENEROUS, max_nodes=5_000)
-        except Exhausted as exc:
-            result = exc.value.partial
-        check_run_invariants(state, result, fees)
-        assert len(result.records) <= math.ceil(len(state.pending) / batch)
+        records, final_state, _ = run_full(state, batch, fees, GENEROUS, max_nodes=5_000)
+        check_run_invariants(state, records, final_state, fees)
+        assert len(records) <= math.ceil(len(state.pending) / batch)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
@@ -183,21 +167,17 @@ class TestFullRuns:
         fees = FeeParams(gamma=gamma)
         batch = 2
         lev = LeverageParams(min_extra=2, max_extra=2, boost=Fraction("0.54"))
-        try:
-            lev_result = run_full(
-                state, batch, fees, GENEROUS, lev=lev, max_nodes=5_000
-            )
-        except Exhausted as exc:
-            lev_result = exc.value.partial
-        check_run_invariants(state, lev_result, fees)
-        try:
-            knap_result = run_full(state, batch, fees, GENEROUS, max_nodes=5_000)
-        except Exhausted:
+        lev_records, lev_final, _ = run_full(
+            state, batch, fees, GENEROUS, lev=lev, max_nodes=5_000
+        )
+        check_run_invariants(state, lev_records, lev_final, fees)
+        knap_records, _, failure = run_full(state, batch, fees, GENEROUS, max_nodes=5_000)
+        if failure is not None:
             return
-        if any(r.method is Method.LEVERAGE for r in lev_result.records):
-            assert len(lev_result.records) <= len(knap_result.records)
+        if any(r.method is Method.LEVERAGE for r in lev_records):
+            assert len(lev_records) <= len(knap_records)
         # Leverage iterations fund the batch plus extras.
-        for record in lev_result.records:
+        for record in lev_records:
             if record.method is Method.LEVERAGE:
                 assert len(record.processed_ids) == batch + len(
                     record.transactions[1].payments

@@ -24,10 +24,8 @@ from coinlever.model import (
     tx_size,
 )
 from coinlever.selection import (
-    FailureReason,
     LeverageParams,
     Method,
-    SelectionFailed,
     attempt_selection,
     fallback_select,
     knapsack_select,
@@ -97,21 +95,21 @@ class TestFallback:
 class TestKnapsack:
     def test_exact_singleton(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
-        tx = knapsack_select(make_pool([5, 3, 2]), make_payments([5]), fees, GENEROUS)
+        tx, attempt = knapsack_select(make_pool([5, 3, 2]), make_payments([5]), fees, GENEROUS)
+        assert attempt.status is SolveStatus.OPTIMAL
         assert [u.value for u in tx.inputs] == [5]
         assert (tx.change, tx.overpayment) == (0, 0)
 
     def test_infeasible_at_optimal_cardinality(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
-        with pytest.raises(SelectionFailed) as exc:
-            knapsack_select(make_pool([5, 3, 2]), make_payments([9]), fees, GENEROUS)
-        assert exc.value.reason is FailureReason.INFEASIBLE
+        tx, attempt = knapsack_select(make_pool([5, 3, 2]), make_payments([9]), fees, GENEROUS)
+        assert tx is None
+        assert attempt.status is SolveStatus.INFEASIBLE
 
     def test_no_good_prefix_reason(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
-        with pytest.raises(SelectionFailed) as exc:
-            knapsack_select(make_pool([2]), make_payments([9]), fees, GENEROUS)
-        assert exc.value.reason is FailureReason.NO_GOOD_PREFIX
+        # No program is built, so there is no attempt either.
+        assert knapsack_select(make_pool([2]), make_payments([9]), fees, GENEROUS) == (None, None)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -135,11 +133,10 @@ class TestKnapsack:
         fees = FeeParams(gamma=gamma)
         expected = brute_knapsack(values, payments, gamma, fees.make_change, fees.dust)
         pool, reqs = make_pool(values), make_payments(payments)
+        tx, _ = knapsack_select(pool, reqs, fees, GENEROUS)
         if expected is None:
-            with pytest.raises(SelectionFailed):
-                knapsack_select(pool, reqs, fees, GENEROUS)
+            assert tx is None
             return
-        tx = knapsack_select(pool, reqs, fees, GENEROUS)
         assert tx.overpayment == expected
         assert tx.change == 0
         assert len(tx.inputs) == opt(pool, reqs, fees)
@@ -233,7 +230,7 @@ class TestLeverage:
     def test_forced_pair(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
-        tx1, tx2 = leverage_select(
+        (tx1, tx2), _ = leverage_select(
             make_pool([10]),
             make_payments([7]),
             make_payments([3], prefix="c"),
@@ -250,9 +247,8 @@ class TestLeverage:
     def test_too_few_candidates(self):
         fees = FeeParams(gamma=0)
         lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
-        with pytest.raises(SelectionFailed) as exc:
-            leverage_select(make_pool([10]), make_payments([7]), (), fees, lev, GENEROUS)
-        assert exc.value.reason is FailureReason.TOO_FEW_CANDIDATES
+        result = leverage_select(make_pool([10]), make_payments([7]), (), fees, lev, GENEROUS)
+        assert result == (None, None)
 
     def test_candidates_must_be_disjoint(self):
         fees = FeeParams(gamma=0)
@@ -303,11 +299,11 @@ class TestLeverage:
         batch = make_payments(payments)
         candidates = make_payments(cands, prefix="c")
         lev = LeverageParams(min_extra=min_extra, max_extra=max_extra, boost=beta)
+        pair, _ = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
         if expected is None:
-            with pytest.raises(SelectionFailed):
-                leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
+            assert pair is None
             return
-        tx1, tx2 = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
+        tx1, tx2 = pair
         assert len(tx2.inputs) - 1 == expected
         self.check_pair_invariants(pool, batch, tx1, tx2, fees, lev)
 
@@ -338,14 +334,13 @@ class TestLeverage:
         values, payments, cands, n_extra = instance
         fees = FeeParams(gamma=gamma)
         lev = LeverageParams(min_extra=1, max_extra=max(n_extra, 2), boost=Fraction(0))
-        try:
-            _, tx2 = leverage_select(
-                make_pool(values), make_payments(payments),
-                make_payments(cands, prefix="c"), fees, lev, GENEROUS,
-            )
-        except SelectionFailed:
+        pair, _ = leverage_select(
+            make_pool(values), make_payments(payments),
+            make_payments(cands, prefix="c"), fees, lev, GENEROUS,
+        )
+        if pair is None:
             return
-        assert tx2.overpayment == 0
+        assert pair[1].overpayment == 0
 
 
 class TestAttemptSelection:
@@ -353,7 +348,7 @@ class TestAttemptSelection:
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         outcome = attempt_selection(make_pool([5, 3, 2]), make_payments([5]), fees, GENEROUS)
         assert outcome.method is Method.KNAPSACK
-        assert outcome.secondary_tx is None
+        assert len(outcome.transactions) == 1
         assert [a.method for a in outcome.attempts] == [Method.KNAPSACK]
 
     def test_cascade_to_leverage(self):
@@ -368,7 +363,8 @@ class TestAttemptSelection:
             lev=lev,
         )
         assert outcome.method is Method.LEVERAGE
-        assert outcome.bridge is not None
+        tx1, tx2 = outcome.transactions
+        assert tx2.inputs[0] == Utxo("lev-change", tx1.change)
         assert [a.method for a in outcome.attempts] == [Method.KNAPSACK, Method.LEVERAGE]
         assert outcome.attempts[0].status is SolveStatus.INFEASIBLE
 
@@ -376,7 +372,7 @@ class TestAttemptSelection:
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         outcome = attempt_selection(make_pool([10]), make_payments([7]), fees, GENEROUS)
         assert outcome.method is Method.FALLBACK
-        assert outcome.primary_tx.change == 3
+        assert outcome.transactions[0].change == 3
         assert costs_nonnegative(outcome, fees)
 
     def test_fallback_exhaustion_raises(self):

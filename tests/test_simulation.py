@@ -1,4 +1,4 @@
-"""Tests for the sampling, scenario, and sweep layers."""
+"""Tests for the run loop and the sampling, scenario, and sweep layers."""
 
 from __future__ import annotations
 
@@ -14,7 +14,10 @@ from coinlever.datasets import (
     synthetic_payment_dataset,
     synthetic_utxo_dataset,
 )
+import coinlever.simulation as simulation
 from coinlever.model import PaymentRequest, Utxo, dust_threshold
+from coinlever.orchestrator import WorldState
+from coinlever.selection import Method
 from coinlever.simulation import (
     BATCH_SWEEP,
     DEFAULT_BOOST,
@@ -27,6 +30,7 @@ from coinlever.simulation import (
     default_sweep_configs,
     derive_seed,
     run_cell,
+    run_full,
     run_scenario,
     sample_payments,
     sample_utxo_pool,
@@ -168,14 +172,12 @@ class TestRunScenario:
 
     def test_no_leverage_mode_never_uses_leverage(self):
         report = run_scenario(desk_config(), Mode.NO_LEVERAGE)
-        assert report.leverage_rate == 0
-        assert report.fallback_rate + report.knapsack_rate == 1
+        assert report.rate(Method.LEVERAGE) == 0
+        assert report.rate(Method.FALLBACK) + report.rate(Method.KNAPSACK) == 1
 
     def test_rates_sum_to_one_in_leverage_mode(self):
         report = run_scenario(desk_config(), Mode.LEVERAGE)
-        assert (
-            report.fallback_rate + report.knapsack_rate + report.leverage_rate == 1
-        )
+        assert sum(report.rate(m) for m in Method) == 1
 
     def test_no_leverage_processes_batch_times_iterations(self):
         config = desk_config()
@@ -219,13 +221,86 @@ class TestRunScenario:
         assert report.total_cost == total
 
 
+def first_sample(config: ScenarioConfig) -> WorldState:
+    """The world state repetition 0 of ``config`` starts from."""
+    pool = sample_utxo_pool(
+        bundled_utxo_dataset(),
+        config.utxo_pool_size,
+        random.Random(derive_seed(config.rng_seed, 0, "utxo")),
+    )
+    payments = sample_payments(
+        bundled_payment_dataset(),
+        config.payment_pool_size,
+        config.effective_min_payment,
+        random.Random(derive_seed(config.rng_seed, 0, "pay")),
+    )
+    return WorldState.initial(pool, payments)
+
+
+def run_config(config: ScenarioConfig, mode: Mode, **kwargs):
+    lev = config.leverage_params() if mode is Mode.LEVERAGE else None
+    return run_full(
+        first_sample(config),
+        config.batch_size,
+        config.fee_params(),
+        config.budget_seconds,
+        lev=lev,
+        candidate_window=config.candidate_window,
+        max_nodes=config.node_budget,
+        **kwargs,
+    )
+
+
+class TestRunFull:
+    def test_limit_one_takes_one_step(self):
+        records, final_state, failure = run_config(desk_config(), Mode.LEVERAGE, limit=1)
+        assert [r.iteration for r in records] == [1]
+        assert final_state.iteration == 1
+        assert failure is None
+
+    def test_limit_zero_is_vacuous(self):
+        config = desk_config()
+        state = first_sample(config)
+        fees = config.fee_params()
+        assert run_full(state, 2, fees, config.budget_seconds, limit=0) == ((), state, None)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_scenario_repetition_is_a_limited_run(self, mode):
+        config = desk_config(repetitions=1)
+        report = run_scenario(config, mode)
+        records, _, failure = run_config(config, mode, limit=config.iterations_per_sample)
+        assert report.repetitions[0].records == records
+        assert report.repetitions[0].failure == failure
+
+    def test_every_step_goes_through_the_module_global(self, monkeypatch):
+        # Call-boundary instrumentation rebinds ``simulation.step`` and reads
+        # the state, batch size, fees and budget positionally and the rest by
+        # keyword, so both entry points must route every record through it.
+        calls = []
+        original = simulation.step
+
+        def counting_step(*args, **kwargs):
+            assert len(args) == 4
+            assert set(kwargs) == {"lev", "candidate_window", "max_nodes"}
+            state, record = original(*args, **kwargs)
+            calls.append(record)
+            return state, record
+
+        monkeypatch.setattr(simulation, "step", counting_step)
+        config = desk_config()
+        report = run_scenario(config, Mode.LEVERAGE)
+        assert calls == [r for rep in report.repetitions for r in rep.records]
+        calls.clear()
+        records, _, _ = run_config(config, Mode.NO_LEVERAGE)
+        assert calls == list(records) and len(records) > config.iterations_per_sample
+
+
 class TestSummarize:
     @staticmethod
     def report_with(cost_usd: Fraction, config: ScenarioConfig) -> ScenarioReport:
         # Synthetic single-number report whose per-payment USD cost is exact:
         # the config must use btc_usd=100 so satoshi costs stay integral.
         from coinlever.orchestrator import IterationRecord
-        from coinlever.selection import Method
 
         sats = cost_usd * 100_000_000 / config.btc_usd
         assert sats.denominator == 1
@@ -248,7 +323,7 @@ class TestSummarize:
     def test_equal_costs_zero_savings(self):
         config = desk_config(btc_usd=100)
         a = self.report_with(Fraction("0.25"), config)
-        summary = summarize(a, a, config)
+        summary = summarize(a, a)
         assert summary.percent_per_payment == 0
         assert summary.usd_per_payment == 0
 
@@ -258,7 +333,7 @@ class TestSummarize:
         config = desk_config(btc_usd=100)
         no_lev = self.report_with(Fraction("0.244890"), config)
         lev = self.report_with(Fraction("0.239597"), config)
-        summary = summarize(no_lev, lev, config)
+        summary = summarize(no_lev, lev)
         assert summary.usd_per_payment == Fraction("0.005293")
         assert round(float(summary.percent_per_payment), 3) == 2.161
 
@@ -266,7 +341,7 @@ class TestSummarize:
         config = desk_config(btc_usd=100)
         zero = self.report_with(Fraction(0), config)
         with pytest.raises(ZeroBaseline):
-            summarize(zero, zero, config)
+            summarize(zero, zero)
 
     def test_formula_reevaluation(self):
         config = desk_config(btc_usd=100)
@@ -274,9 +349,7 @@ class TestSummarize:
         for _ in range(50):
             a = Fraction(rng.randint(1, 10_000), 1000)
             b = Fraction(rng.randint(0, 10_000), 1000)
-            summary = summarize(
-                self.report_with(a, config), self.report_with(b, config), config
-            )
+            summary = summarize(self.report_with(a, config), self.report_with(b, config))
             assert summary.percent_per_payment == 100 * (a - b) / a
             assert summary.usd_per_payment == a - b
 
