@@ -7,9 +7,9 @@ this reproduces the complete experimental protocol. It took 118 s on a
 solver's cardinality-aware row bounds settle every full-scale knapsack
 program in at most about 1,500 nodes. --scale desk runs a reduced version
 in about 25 s. After the summary the script prints how many knapsack and
-leverage solver calls stopped at the node cap, and the SHA-256 of the JSON
-detail and of the summary it wrote, so two checkouts' sweeps and tables
-compare in one line each.
+leverage solver calls the node cap and the clock stopped, read from each
+call's ``limit``, and the SHA-256 of the JSON detail and of the summary it
+wrote, so two checkouts' sweeps and tables compare in one line each.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from coinlever.blp import SolveStatus
 from coinlever.io import cell_dict, emit_report, summary_markdown
 from coinlever.simulation import ScenarioConfig, default_sweep_configs, sweep
 
@@ -30,8 +29,8 @@ SCALES = {
 }
 
 
-def node_cap_stops(cells, node_budget: int) -> tuple[Counter, Counter]:
-    """Solver calls per method, and those of them the node cap stopped."""
+def solver_stops(cells) -> tuple[Counter, Counter]:
+    """Solver calls per method, and per (method, limit) those a limit stopped."""
     calls: Counter = Counter()
     stops: Counter = Counter()
     for cell in cells:
@@ -42,12 +41,8 @@ def node_cap_stops(cells, node_budget: int) -> tuple[Counter, Counter]:
                 for record in rep.records:
                     for attempt in record.solver_attempts:
                         calls[attempt.method.value] += 1
-                        truncated = attempt.status in (
-                            SolveStatus.TIMED_OUT,
-                            SolveStatus.FEASIBLE_INCUMBENT,
-                        )
-                        if truncated and attempt.nodes >= node_budget:
-                            stops[attempt.method.value] += 1
+                        if attempt.limit is not None:
+                            stops[attempt.method.value, attempt.limit] += 1
     return calls, stops
 
 
@@ -77,11 +72,14 @@ def main() -> None:
     emit_report(cells, "json", args.out)
     emit_report(cells, "md", args.summary)
     print(summary_markdown([cell_dict(c) for c in cells]))
-    calls, stops = node_cap_stops(cells, args.node_budget)
-    print(
-        "node-cap stops: "
-        + ", ".join(f"{m} {stops[m]} of {calls[m]} calls" for m in ("knapsack", "leverage"))
-    )
+    calls, stops = solver_stops(cells)
+    for limit, label in (("nodes", "node-cap"), ("clock", "clock")):
+        print(
+            f"{label} stops: "
+            + ", ".join(
+                f"{m} {stops[m, limit]} of {calls[m]} calls" for m in ("knapsack", "leverage")
+            )
+        )
     print(f"swept {len(cells)} cells in {elapsed:.1f}s; detail in {args.out}")
     for path in (args.out, args.summary):
         print(f"sha256 {hashlib.sha256(Path(path).read_bytes()).hexdigest()}  {path}")

@@ -26,6 +26,15 @@ entries, not the whole prefix. Also at setup, a rational right-hand side on
 a row with integer coefficients is rounded inward (floor for "<=", ceiling
 for ">="). Both steps only cut subtrees that hold no feasible point, so the
 search meets the same incumbents in the same order, in no more nodes.
+
+Each node does as little as it can. A child whose bound already reaches the
+incumbent's objective is counted and dropped before it touches a row. The
+test of the improving completion (every unfixed variable at its
+objective-improving value) is kept as that completion's row activities
+plus a per-row violation flag; fixing a variable to its improving value
+leaves both unchanged, so only the other branch updates them. And since no
+point beats the root bound (the offset plus every negative objective
+coefficient), an incumbent that meets it ends the search as OPTIMAL.
 """
 
 from __future__ import annotations
@@ -68,13 +77,16 @@ class SolveOutcome:
     """Result of one solve call.
 
     ``assignment`` and ``objective_value`` are present exactly when the
-    status carries a feasible point.
+    status carries a feasible point. ``limit`` says what cut the search
+    short: ``"nodes"`` (the node cap), ``"clock"`` (the wall-clock budget),
+    or None for a search that ran to completion.
     """
 
     status: SolveStatus
     assignment: tuple[int, ...] | None
     objective_value: Coeff | None
     nodes_explored: int
+    limit: str | None = None
 
 
 class BlpProblem:
@@ -203,9 +215,12 @@ def solve(
     ``budget`` is a wall-clock allowance in seconds; ``max_nodes`` is an
     optional deterministic cap on explored nodes (useful when reproducible
     truncation matters more than a precise time limit). Either limit expiring
-    returns the best feasible assignment found so far, or a timed-out result
-    when none exists. With enough budget the result is OPTIMAL or INFEASIBLE
-    and the search is fully deterministic.
+    returns the best feasible assignment found so far as FEASIBLE_INCUMBENT,
+    or TIMED_OUT when none exists, with ``limit`` naming the one that
+    expired. FEASIBLE_INCUMBENT means "not proved optimal": an incumbent
+    that meets the root bound is returned as OPTIMAL at once. With enough
+    budget the result is OPTIMAL or INFEASIBLE and the search is fully
+    deterministic.
 
     Branching picks the unfixed variable with the largest absolute objective
     coefficient (ties to the lowest index). A variable with a positive
@@ -215,7 +230,9 @@ def solve(
     At every node the solver also tests the completion that sets all
     remaining variables to their objective-improving values; when it
     satisfies every row it equals the node's lower bound, so it is recorded
-    as the subtree's optimum and the subtree is pruned.
+    as the subtree's optimum and the subtree is pruned. A child is counted
+    as a node before its bound is tested, so node counts, and where the
+    node cap lands, do not depend on how much of the node was applied.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -254,8 +271,10 @@ def solve(
     # row's free part, the variables outside every block the row meets.
     neg_rems: list[Coeff] = [0] * n_rows
     pos_rems: list[Coeff] = [0] * n_rows
-    # Contribution of the objective-improving completion of unfixed vars.
-    imp_rems: list[Coeff] = [0] * n_rows
+    # Row activity of the node's improving completion: every unfixed
+    # variable at its objective-improving value. Fixing a variable to that
+    # value leaves it unchanged.
+    imp_acts: list[Coeff] = [0] * n_rows
     imp_value = [1 if objective[j] < 0 else 0 for j in range(n)]
     # ``(row, coeff, in the row's free part)`` for each variable.
     cols: list[list[tuple[int, Coeff, bool]]] = [[] for _ in range(n)]
@@ -271,7 +290,7 @@ def solve(
             free = b < 0 or b == i
             cols[j].append((i, c, free))
             if imp_value[j]:
-                imp_rems[i] += c
+                imp_acts[i] += c
             if free:
                 if c < 0:
                     neg_rems[i] += c
@@ -342,7 +361,7 @@ def solve(
         return False
 
     def imp_bad(i: int) -> bool:
-        lhs = acts[i] + imp_rems[i]
+        lhs = imp_acts[i]
         rel = rels[i]
         if rel == _LE:
             return lhs > rhss[i]
@@ -350,13 +369,18 @@ def solve(
             return lhs < rhss[i]
         return lhs != rhss[i]
 
-    def finish(status: SolveStatus, nodes: int) -> SolveOutcome:
+    def finish(status: SolveStatus, nodes: int, limit: str | None = None) -> SolveOutcome:
         if status.has_assignment:
             assert best_assignment is not None
             if not check_feasible(problem, best_assignment):
                 raise RuntimeError("solver produced an infeasible assignment")
-            return SolveOutcome(status, best_assignment, best_obj, nodes)
-        return SolveOutcome(status, None, None, nodes)
+            return SolveOutcome(status, best_assignment, best_obj, nodes, limit)
+        return SolveOutcome(status, None, None, nodes, limit)
+
+    def stopped(limit: str, nodes: int) -> SolveOutcome:
+        if best_assignment is None:
+            return finish(SolveStatus.TIMED_OUT, nodes, limit)
+        return finish(SolveStatus.FEASIBLE_INCUMBENT, nodes, limit)
 
     best_assignment: tuple[int, ...] | None = None
     best_obj: Coeff | None = None
@@ -368,9 +392,12 @@ def solve(
         best_assignment, best_obj = (), problem.offset
         return finish(SolveStatus.OPTIMAL, 0)
 
-    # Lower bound contribution of each unfixed variable is min(0, c).
-    bound: Coeff = problem.offset + sum(c for c in objective if c < 0)
-    bad_count = sum(1 for i in range(n_rows) if imp_bad(i))
+    # Lower bound contribution of each unfixed variable is min(0, c), so
+    # fixing one against its improving value raises the bound by |c|.
+    root_bound: Coeff = problem.offset + sum(c for c in objective if c < 0)
+    bound = root_bound
+    bad = [imp_bad(i) for i in range(n_rows)]
+    bad_count = sum(bad)
     if bad_count == 0:
         best_assignment = tuple(imp_value)
         best_obj = bound
@@ -393,11 +420,11 @@ def solve(
     while stack:
         depth, value, is_undo = stack.pop()
         j = order[depth]
-        c = objective[j]
+        flip = value != imp_value[j]
         if is_undo:
-            bound -= (c if value else 0) - (c if c < 0 else 0)
+            if flip:
+                bound -= abs(objective[j])
             for i, a, free in cols[j]:
-                was_bad = imp_bad(i)
                 if value:
                     acts[i] -= a
                 if free:
@@ -405,32 +432,26 @@ def solve(
                         neg_rems[i] += a
                     else:
                         pos_rems[i] += a
-                if imp_value[j]:
-                    imp_rems[i] += a
-                if imp_bad(i) != was_bad:
-                    bad_count += 1 if not was_bad else -1
+                if flip:
+                    imp_acts[i] -= a if value else -a
+                    if imp_bad(i) != bad[i]:
+                        bad[i] = not bad[i]
+                        bad_count += 1 if bad[i] else -1
             continue
 
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
-            return finish(
-                SolveStatus.FEASIBLE_INCUMBENT
-                if best_assignment is not None
-                else SolveStatus.TIMED_OUT,
-                nodes - 1,
-            )
+            return stopped("nodes", nodes - 1)
         if time.monotonic() > deadline:
-            return finish(
-                SolveStatus.FEASIBLE_INCUMBENT
-                if best_assignment is not None
-                else SolveStatus.TIMED_OUT,
-                nodes - 1,
-            )
+            return stopped("clock", nodes - 1)
 
+        # A child that cannot beat the incumbent is counted but never applied.
+        child_bound = bound + abs(objective[j]) if flip else bound
+        if best_obj is not None and child_bound >= best_obj:
+            continue
+        bound = child_bound
         fixed[j] = value
-        bound += (c if value else 0) - (c if c < 0 else 0)
         for i, a, free in cols[j]:
-            was_bad = imp_bad(i)
             if value:
                 acts[i] += a
             if free:
@@ -438,14 +459,13 @@ def solve(
                     neg_rems[i] -= a
                 else:
                     pos_rems[i] -= a
-            if imp_value[j]:
-                imp_rems[i] -= a
-            if imp_bad(i) != was_bad:
-                bad_count += 1 if not was_bad else -1
+            if flip:
+                imp_acts[i] += a if value else -a
+                if imp_bad(i) != bad[i]:
+                    bad[i] = not bad[i]
+                    bad_count += 1 if bad[i] else -1
         stack.append((depth, value, True))
 
-        if best_obj is not None and bound >= best_obj:
-            continue
         dead = False
         for i, _, _ in cols[j]:
             if row_dead(i, depth):
@@ -462,6 +482,9 @@ def solve(
                 assignment[order[later]] = imp_value[order[later]]
             best_assignment = tuple(assignment)
             best_obj = bound
+            if bound == root_bound:
+                # No point beats the root bound: the search is over.
+                return finish(SolveStatus.OPTIMAL, nodes)
             continue
 
         if depth + 1 == n:

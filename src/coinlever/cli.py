@@ -238,7 +238,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     payment_dataset = (
         report_io.load_payments(args.payments) if args.payments else bundled_payment_dataset()
     )
-    configs = default_sweep_configs(config) if args.sweep else [config]
+    if args.sweep:
+        configs = default_sweep_configs(config)
+    else:
+        # Impossible leverage bounds are a usage error before any mode runs.
+        _leverage_params(config, Mode.LEVERAGE.value)
+        configs = [config]
     log.info("running %d cell(s)", len(configs))
     cells = sweep(configs, utxo_dataset=utxo_dataset, payment_dataset=payment_dataset)
     report_io.emit_report(cells, "json", args.out)

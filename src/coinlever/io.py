@@ -31,6 +31,7 @@ from .simulation import (
     ScenarioConfig,
     ScenarioReport,
     SweepCell,
+    tally,
 )
 
 
@@ -211,6 +212,7 @@ def attempt_dict(a: SolverAttempt) -> dict:
         "status": a.status.value,
         "nodes": a.nodes,
         "objective": objective,
+        "limit": a.limit,
     }
 
 
@@ -284,19 +286,9 @@ def cell_dict(cell: SweepCell) -> dict:
 
 
 def run_result_dict(records: Sequence[IterationRecord], error: str | None = None) -> dict:
-    def count(method: Method) -> int:
-        return sum(1 for r in records if r.method is method)
-
     return {
         "records": [_record_dict(r) for r in records],
-        "totals": {
-            "iterations": len(records),
-            "payments_processed": sum(len(r.processed_ids) for r in records),
-            "total_cost_sat": sum(r.cost for r in records),
-            "fallback_count": count(Method.FALLBACK),
-            "knapsack_count": count(Method.KNAPSACK),
-            "leverage_count": count(Method.LEVERAGE),
-        },
+        "totals": tally(records),
         "error": error,
     }
 

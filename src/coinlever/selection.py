@@ -58,12 +58,14 @@ class LeverageParams:
 
 @dataclass(frozen=True, slots=True)
 class SolverAttempt:
-    """Deterministic summary of one solver invocation."""
+    """Deterministic summary of one solver invocation; ``limit`` is the
+    solver's stop reason (None, ``"nodes"`` or ``"clock"``)."""
 
     method: Method
     status: SolveStatus
     nodes: int
     objective: Coeff | None
+    limit: str | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +141,8 @@ def knapsack_select(
     )
     outcome = solve(problem, budget, max_nodes=max_nodes)
     attempt = SolverAttempt(
-        Method.KNAPSACK, outcome.status, outcome.nodes_explored, outcome.objective_value
+        Method.KNAPSACK, outcome.status, outcome.nodes_explored, outcome.objective_value,
+        outcome.limit,
     )
     if not outcome.status.has_assignment:
         return None, attempt
@@ -248,7 +251,8 @@ def leverage_select(
     problem = BlpProblem(n_cand + n_first + n, {x2(j): 1 for j in range(n)}, rows)
     outcome = solve(problem, budget, max_nodes=max_nodes)
     attempt = SolverAttempt(
-        Method.LEVERAGE, outcome.status, outcome.nodes_explored, outcome.objective_value
+        Method.LEVERAGE, outcome.status, outcome.nodes_explored, outcome.objective_value,
+        outcome.limit,
     )
     if not outcome.status.has_assignment:
         return None, attempt

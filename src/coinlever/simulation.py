@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .datasets import bundled_payment_dataset, bundled_utxo_dataset
@@ -199,30 +200,26 @@ def _sample_digest(pool: UtxoPool, payments: Sequence[PaymentRequest]) -> str:
     return h.hexdigest()
 
 
+def tally(records: Sequence[IterationRecord]) -> dict[str, int]:
+    """Iterations, payments processed, total cost and per-method counts of
+    ``records``, under the key names of the JSON reports."""
+    return {
+        "iterations": len(records),
+        "payments_processed": sum(len(r.processed_ids) for r in records),
+        "total_cost_sat": sum(r.cost for r in records),
+        **{f"{m.value}_count": sum(r.method is m for r in records) for m in Method},
+    }
+
+
 @dataclass(frozen=True)
 class RepetitionOutcome:
-    """One sampled repetition: its records, tallies, and sample fingerprint."""
+    """One sampled repetition: its records and sample fingerprint."""
 
     index: int
     ok: bool
     failure: str | None
     sample_digest: str
     records: tuple[IterationRecord, ...]
-
-    @property
-    def iterations(self) -> int:
-        return len(self.records)
-
-    @property
-    def payments_processed(self) -> int:
-        return sum(len(r.processed_ids) for r in self.records)
-
-    @property
-    def total_cost(self) -> int:
-        return sum(r.cost for r in self.records)
-
-    def method_count(self, method: Method) -> int:
-        return sum(1 for r in self.records if r.method is method)
 
 
 @dataclass(frozen=True)
@@ -241,20 +238,25 @@ class ScenarioReport:
     def failed_count(self) -> int:
         return sum(1 for r in self.repetitions if not r.ok)
 
+    @cached_property
+    def totals(self) -> dict[str, int]:
+        """``tally`` of the successful repetitions' records."""
+        return tally([r for rep in self.ok_repetitions for r in rep.records])
+
     @property
     def iterations_total(self) -> int:
-        return sum(r.iterations for r in self.ok_repetitions)
+        return self.totals["iterations"]
 
     @property
     def payments_processed(self) -> int:
-        return sum(r.payments_processed for r in self.ok_repetitions)
+        return self.totals["payments_processed"]
 
     @property
     def total_cost(self) -> int:
-        return sum(r.total_cost for r in self.ok_repetitions)
+        return self.totals["total_cost_sat"]
 
     def method_count(self, method: Method) -> int:
-        return sum(r.method_count(method) for r in self.ok_repetitions)
+        return self.totals[f"{method.value}_count"]
 
     def rate(self, method: Method) -> Fraction:
         if self.iterations_total == 0:
@@ -407,7 +409,12 @@ def run_cell(
     utxo_dataset: Sequence[Utxo] | None = None,
     payment_dataset: Sequence[PaymentRequest] | None = None,
 ) -> SweepCell:
-    """Both modes plus the savings summary for one scenario config."""
+    """Both modes plus the savings summary for one scenario config.
+
+    Leverage bounds that the cell's batch size makes impossible raise
+    ValueError before either mode runs.
+    """
+    config.leverage_params()
     no_lev = run_scenario(
         config, Mode.NO_LEVERAGE, utxo_dataset=utxo_dataset, payment_dataset=payment_dataset
     )

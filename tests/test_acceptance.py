@@ -40,6 +40,7 @@ from coinlever.simulation import (
     sample_utxo_pool,
     summarize,
     sweep,
+    tally,
 )
 from coinlever.datasets import bundled_payment_dataset, bundled_utxo_dataset
 
@@ -243,7 +244,7 @@ def test_criterion_5_protocol_fidelity():
     assert report.rate(Method.LEVERAGE) == 0
     assert sum(report.rate(m) for m in Method) == 1
     for rep in report.ok_repetitions:
-        assert rep.payments_processed == config.iterations_per_sample * config.batch_size
+        assert tally(rep.records)["payments_processed"] == config.iterations_per_sample * config.batch_size
     lev_report = run_scenario(config, Mode.LEVERAGE)
     assert sum(lev_report.rate(m) for m in Method) == 1
     print(

@@ -23,10 +23,22 @@ from oracles import enumerate_blp, row_holds
 GENEROUS = 60.0
 
 
-def random_problem(rng: random.Random, max_vars: int = 14, max_rows: int = 8):
+def mixed_coefficient(rng: random.Random) -> int:
+    return rng.randint(-20, 20)
+
+
+def signed_coefficient(rng: random.Random) -> int:
+    """Mostly negative (improving value 1), often zero (tried at 1 first,
+    against an improving value of 0): both flip the improving completion."""
+    return rng.choice([rng.randint(-20, -1), rng.randint(-20, -1), 0, rng.randint(1, 20)])
+
+
+def random_problem(
+    rng: random.Random, max_vars: int = 14, max_rows: int = 8, coefficient=mixed_coefficient
+):
     n = rng.randint(1, max_vars)
     n_rows = rng.randint(0, max_rows)
-    objective = [rng.randint(-20, 20) for _ in range(n)]
+    objective = [coefficient(rng) for _ in range(n)]
     rows = []
     for _ in range(n_rows):
         coeffs = [rng.randint(-15, 15) for _ in range(n)]
@@ -37,7 +49,7 @@ def random_problem(rng: random.Random, max_vars: int = 14, max_rows: int = 8):
     return BlpProblem(n, objective, rows), objective, rows
 
 
-def cardinality_problem(rng: random.Random, max_vars: int = 12):
+def cardinality_problem(rng: random.Random, max_vars: int = 12, coefficient=mixed_coefficient):
     """Programs whose pruning leans on cardinality rows.
 
     All-ones "=" / "<=" rows over random, partial and overlapping supports,
@@ -45,7 +57,7 @@ def cardinality_problem(rng: random.Random, max_vars: int = 12):
     sides half the time, though every coefficient is an integer.
     """
     n = rng.randint(1, max_vars)
-    objective = [rng.randint(-20, 20) for _ in range(n)]
+    objective = [coefficient(rng) for _ in range(n)]
     rows = []
     for _ in range(rng.randint(1, 3)):
         support = set(rng.sample(range(n), rng.randint(1, n)))
@@ -170,6 +182,27 @@ class TestSolveAgainstEnumeration:
             assert outcome.objective_value == expected[0]
             assert check_feasible(problem, outcome.assignment)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        cardinality=st.booleans(),
+        offset=st.integers(min_value=-50, max_value=50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_signed_objectives_match_exhaustive_minimum(self, seed, cardinality, offset):
+        rng = random.Random(seed)
+        generate = cardinality_problem if cardinality else random_problem
+        _, objective, rows = generate(rng, coefficient=signed_coefficient)
+        problem = BlpProblem(len(objective), objective, rows, offset=offset)
+        expected = enumerate_blp(problem.n_vars, objective, offset, rows)
+        outcome = solve(problem, GENEROUS)
+        assert outcome.limit is None
+        if expected is None:
+            assert outcome.status is SolveStatus.INFEASIBLE
+        else:
+            assert outcome.status is SolveStatus.OPTIMAL
+            assert outcome.objective_value == expected[0]
+            assert check_feasible(problem, outcome.assignment)
+
     @given(seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=100, deadline=None)
     def test_knapsack_instances(self, seed):
@@ -244,3 +277,76 @@ class TestSolveContracts:
         out = solve(BlpProblem(n, values, rows), GENEROUS, max_nodes=n + 2)
         assert out.status in (SolveStatus.FEASIBLE_INCUMBENT, SolveStatus.OPTIMAL)
         assert check_feasible(BlpProblem(n, values, rows), out.assignment)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        cap=st.integers(min_value=1, max_value=300),
+        cardinality=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_capped_incumbent_is_not_at_the_root_bound(self, seed, cap, cardinality):
+        # An incumbent that meets the root bound is proved optimal, so a
+        # search the cap cut short holds a strictly worse one.
+        rng = random.Random(seed)
+        generate = cardinality_problem if cardinality else random_problem
+        problem, objective, _ = generate(rng, coefficient=signed_coefficient)
+        outcome = solve(problem, GENEROUS, max_nodes=cap)
+        if outcome.status is SolveStatus.FEASIBLE_INCUMBENT:
+            assert outcome.objective_value > sum(c for c in objective if c < 0)
+        assert (outcome.limit == "nodes") == (
+            outcome.status in (SolveStatus.FEASIBLE_INCUMBENT, SolveStatus.TIMED_OUT)
+        )
+
+
+class TestRootBoundStop:
+    # Branching order is x0..x4 (by |c|), then the zero-cost x5, x6, x7.
+    # The improving completion sets x0..x4 to 1 and x5..x7 to 0, which
+    # breaks the last row. Zero-cost variables try 1 first, so the dive
+    # meets a completion at the root bound -15 once x5 and x6 are set, at
+    # depth 6.
+    PROBLEM = BlpProblem(
+        8,
+        [-5, -4, -3, -2, -1, 0, 0, 0],
+        [([1, 1, 1, 1, 1, 0, 0, 0], "<=", 5), ([0, 0, 0, 0, 0, 1, 1, 1], "=", 2)],
+    )
+    DEPTH = 6
+
+    def test_incumbent_at_root_bound_ends_the_search(self):
+        outcome = solve(self.PROBLEM, GENEROUS)
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective_value == -15
+        assert outcome.assignment == (1, 1, 1, 1, 1, 1, 1, 0)
+        assert outcome.nodes_explored == self.DEPTH + 1
+        assert outcome.limit is None
+
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_cap_just_after_the_incumbent_keeps_optimal(self, extra):
+        outcome = solve(self.PROBLEM, GENEROUS, max_nodes=self.DEPTH + 1 + extra)
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.nodes_explored == self.DEPTH + 1
+        assert outcome.limit is None
+
+    def test_cap_before_the_incumbent_is_a_node_stop(self):
+        outcome = solve(self.PROBLEM, GENEROUS, max_nodes=self.DEPTH)
+        assert outcome.status is SolveStatus.TIMED_OUT
+        assert outcome.limit == "nodes"
+
+
+class TestStopReason:
+    DEEP = BlpProblem(16, list(range(3, 19)), [(list(range(3, 19)), "=", 1)])
+
+    def test_tiny_budget_is_a_clock_stop(self):
+        outcome = solve(self.DEEP, 1e-9)
+        assert outcome.status is SolveStatus.TIMED_OUT
+        assert outcome.limit == "clock"
+
+    def test_one_node_cap_is_a_node_stop(self):
+        outcome = solve(self.DEEP, GENEROUS, max_nodes=1)
+        assert outcome.status is SolveStatus.TIMED_OUT
+        assert outcome.nodes_explored == 1
+        assert outcome.limit == "nodes"
+
+    def test_completed_search_has_no_limit(self):
+        outcome = solve(self.DEEP, GENEROUS)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.limit is None

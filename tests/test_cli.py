@@ -89,6 +89,22 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
 
 
+    def test_simulate_impossible_leverage_bound_is_usage_error_before_any_run(
+        self, pools, tmp_path, capsys
+    ):
+        # At batch size 2 the unset extra_max defaults to 2, below extra_min.
+        utxos, payments = pools
+        out = tmp_path / "out.json"
+        code = main(
+            ["simulate", "--utxos", str(utxos), "--payments", str(payments), *FAST,
+             "--utxo-pool-size", "100", "--payment-pool-size", "20", "--repetitions", "1",
+             "--extra-min", "5", "--out", str(out)]
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSelect:
     def test_outputs_transaction_json(self, pools, capsys):
         utxos, payments = pools

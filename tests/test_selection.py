@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from coinlever.blp import BlpProblem, SolveStatus, solve
 from coinlever.datasets import bundled_payment_dataset, bundled_utxo_dataset
+from coinlever.io import attempt_dict
 from coinlever.model import (
     FeeParams,
     NoGoodPrefix,
@@ -175,6 +176,15 @@ class TestFullScaleKnapsack:
         target = sum(p.value for p in batch) + size_bytes(1, len(batch), 0) * fees.gamma
         in_window = [v for v in pool.values() if target <= v <= target + fees.make_change]
         assert attempt.objective == min(in_window)
+
+    def test_attempt_and_report_carry_the_stop_reason(self, sample):
+        pool, batch, fees = sample
+        (capped,) = attempt_selection(pool, batch, fees, GENEROUS, max_nodes=1).attempts
+        assert capped.limit == "nodes"
+        assert attempt_dict(capped)["limit"] == "nodes"
+        (full,) = attempt_selection(pool, batch, fees, GENEROUS).attempts
+        assert full.limit is None
+        assert attempt_dict(full)["limit"] is None
 
     def test_empty_window_proved_infeasible(self, sample):
         pool, _, fees = sample

@@ -36,6 +36,7 @@ from coinlever.simulation import (
     sample_utxo_pool,
     summarize,
     sweep,
+    tally,
 )
 
 DESK = dict(
@@ -184,7 +185,7 @@ class TestRunScenario:
         report = run_scenario(config, Mode.NO_LEVERAGE)
         expected = config.iterations_per_sample * config.batch_size
         for rep in report.ok_repetitions:
-            assert rep.payments_processed == expected
+            assert tally(rep.records)["payments_processed"] == expected
 
     def test_matched_modes_see_identical_samples(self):
         config = desk_config()
@@ -394,3 +395,15 @@ class TestSweep:
         assert cells[0].no_leverage.failed_count == bad.repetitions
         assert cells[0].savings is None
         assert cells[1].savings is not None
+
+    def test_impossible_leverage_bound_fails_the_cell_before_any_mode(self, monkeypatch):
+        # extra_min 5 leaves the unset extra_max at the batch size, 2.
+        calls = []
+        monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError):
+            run_cell(desk_config(extra_min=5))
+        assert calls == []
+        monkeypatch.undo()
+        bad, good = sweep([desk_config(extra_min=5), desk_config(extra_min=2)])
+        assert bad.error is not None and bad.no_leverage is None
+        assert good.error is None and good.savings is not None
