@@ -2,10 +2,9 @@
 """Alternated parent/change runs of the benchmark, written as a BENCH_*.json file.
 
 Each run is ``python3 bench/run.py`` inside one checkout (its own copy of
-the benchmark and of ``src/``), at the run length ``BENCHMARK.json`` sets
-unless ``--seconds`` overrides it. Pair i runs the base checkout first when
-i is even and the head checkout first when i is odd, so a drift in the
-machine's speed falls on both sides. Example, from the repository root:
+the benchmark and of ``src/``), at the run length ``BENCHMARK.json`` sets.
+Pair i runs the base checkout first when i is even and the head checkout
+first when i is odd, so a drift in the machine's speed falls on both sides. Example, from the repository root:
 
     python3 scripts/bench.py --base ../parent --head . --workload full-lev \\
         --workload full-nolev --seed 2019 --pairs 10 --out BENCH_6.json
@@ -101,13 +100,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--append", action="store_true", help="add groups to --out")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.head / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
 

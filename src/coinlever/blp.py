@@ -86,7 +86,7 @@ class SolveOutcome:
     assignment: tuple[int, ...] | None
     objective_value: Coeff | None
     nodes_explored: int
-    limit: str | None = None
+    limit: str | None
 
 
 class BlpProblem:

@@ -161,9 +161,7 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _leverage_params(config: ScenarioConfig, mode: str) -> LeverageParams | None:
-    if mode != Mode.LEVERAGE.value:
-        return None
+def _leverage_params(config: ScenarioConfig) -> LeverageParams:
     try:
         return config.leverage_params()
     except ValueError as exc:
@@ -190,7 +188,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     state = _load_world(args)
     if not state.pending:
         raise UsageError("payment file holds no requests")
-    lev = _leverage_params(config, args.mode)
+    lev = _leverage_params(config) if args.mode == Mode.LEVERAGE.value else None
     try:
         _, record = step(
             state,
@@ -221,7 +219,7 @@ def cmd_run_full(args: argparse.Namespace) -> int:
         config.batch_size,
         config.fee_params(),
         config.budget_seconds,
-        lev=_leverage_params(config, args.mode),
+        lev=_leverage_params(config) if args.mode == Mode.LEVERAGE.value else None,
         candidate_window=config.candidate_window,
         max_nodes=config.node_budget,
     )
@@ -242,7 +240,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         configs = default_sweep_configs(config)
     else:
         # Impossible leverage bounds are a usage error before any mode runs.
-        _leverage_params(config, Mode.LEVERAGE.value)
+        _leverage_params(config)
         configs = [config]
     log.info("running %d cell(s)", len(configs))
     cells = sweep(configs, utxo_dataset=utxo_dataset, payment_dataset=payment_dataset)

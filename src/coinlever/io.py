@@ -248,18 +248,19 @@ def _repetition_dict(rep: RepetitionOutcome) -> dict:
 
 
 def report_dict(report: ScenarioReport) -> dict:
+    totals = report.totals
     return {
         "mode": report.mode.value,
         "config": config_dict(report.config),
         "repetitions": [_repetition_dict(rep) for rep in report.repetitions],
         "summary": {
-            "iterations_total": report.iterations_total,
-            "payments_processed": report.payments_processed,
-            "total_cost_sat": report.total_cost,
+            "iterations_total": totals["iterations"],
+            "payments_processed": totals["payments_processed"],
+            "total_cost_sat": totals["total_cost_sat"],
             "failed_repetitions": report.failed_count,
-            "fallback_count": report.method_count(Method.FALLBACK),
-            "knapsack_count": report.method_count(Method.KNAPSACK),
-            "leverage_count": report.method_count(Method.LEVERAGE),
+            "fallback_count": totals["fallback_count"],
+            "knapsack_count": totals["knapsack_count"],
+            "leverage_count": totals["leverage_count"],
             "fallback_rate": fixed_str(report.rate(Method.FALLBACK), 6),
             "knapsack_rate": fixed_str(report.rate(Method.KNAPSACK), 6),
             "leverage_rate": fixed_str(report.rate(Method.LEVERAGE), 6),

@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .datasets import bundled_payment_dataset, bundled_utxo_dataset
@@ -238,37 +237,24 @@ class ScenarioReport:
     def failed_count(self) -> int:
         return sum(1 for r in self.repetitions if not r.ok)
 
-    @cached_property
+    @property
     def totals(self) -> dict[str, int]:
         """``tally`` of the successful repetitions' records."""
         return tally([r for rep in self.ok_repetitions for r in rep.records])
 
-    @property
-    def iterations_total(self) -> int:
-        return self.totals["iterations"]
-
-    @property
-    def payments_processed(self) -> int:
-        return self.totals["payments_processed"]
-
-    @property
-    def total_cost(self) -> int:
-        return self.totals["total_cost_sat"]
-
-    def method_count(self, method: Method) -> int:
-        return self.totals[f"{method.value}_count"]
-
     def rate(self, method: Method) -> Fraction:
-        if self.iterations_total == 0:
+        totals = self.totals
+        if totals["iterations"] == 0:
             return Fraction(0)
-        return Fraction(self.method_count(method), self.iterations_total)
+        return Fraction(totals[f"{method.value}_count"], totals["iterations"])
 
     @property
     def cost_per_payment_usd(self) -> Fraction:
-        if self.payments_processed == 0:
+        totals = self.totals
+        if totals["payments_processed"] == 0:
             return Fraction(0)
         return (
-            Fraction(self.total_cost, self.payments_processed)
+            Fraction(totals["total_cost_sat"], totals["payments_processed"])
             * self.config.btc_usd
             / SATS_PER_BTC
         )
@@ -379,7 +365,7 @@ def run_scenario(
 def summarize(no_lev: ScenarioReport, lev: ScenarioReport) -> SavingsSummary:
     """Per-payment savings of the leverage run against the baseline run."""
     baseline = no_lev.cost_per_payment_usd
-    if no_lev.total_cost == 0 or baseline == 0:
+    if no_lev.totals["total_cost_sat"] == 0 or baseline == 0:
         raise ZeroBaseline("baseline run has zero cost")
     improved = lev.cost_per_payment_usd
     return SavingsSummary(

@@ -165,33 +165,17 @@ class TestSolveBasics:
 
 
 class TestSolveAgainstEnumeration:
-    @given(seed=st.integers(min_value=0, max_value=2**32), cardinality=st.booleans())
-    @settings(max_examples=500, deadline=None)
-    def test_objective_matches_exhaustive_minimum(self, seed, cardinality):
-        rng = random.Random(seed)
-        if cardinality:
-            problem, objective, rows = cardinality_problem(rng)
-        else:
-            problem, objective, rows = random_problem(rng)
-        expected = enumerate_blp(problem.n_vars, objective, 0, rows)
-        outcome = solve(problem, GENEROUS)
-        if expected is None:
-            assert outcome.status is SolveStatus.INFEASIBLE
-        else:
-            assert outcome.status is SolveStatus.OPTIMAL
-            assert outcome.objective_value == expected[0]
-            assert check_feasible(problem, outcome.assignment)
-
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
         cardinality=st.booleans(),
+        coefficient=st.sampled_from([mixed_coefficient, signed_coefficient]),
         offset=st.integers(min_value=-50, max_value=50),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_signed_objectives_match_exhaustive_minimum(self, seed, cardinality, offset):
+    @settings(max_examples=800, deadline=None)
+    def test_objective_matches_exhaustive_minimum(self, seed, cardinality, coefficient, offset):
         rng = random.Random(seed)
         generate = cardinality_problem if cardinality else random_problem
-        _, objective, rows = generate(rng, coefficient=signed_coefficient)
+        _, objective, rows = generate(rng, coefficient=coefficient)
         problem = BlpProblem(len(objective), objective, rows, offset=offset)
         expected = enumerate_blp(problem.n_vars, objective, offset, rows)
         outcome = solve(problem, GENEROUS)

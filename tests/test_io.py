@@ -144,7 +144,7 @@ class TestJsonRoundTrip:
             fixed_str(cell.config.effective_beta, 2),
             "leverage",
             *(fixed_str(report.rate(m), 4) for m in Method),
-            str(report.payments_processed),
+            str(report.totals["payments_processed"]),
             fixed_str(report.cost_per_payment_usd, 6),
             fixed_str(cell.savings.percent_per_payment, 6),
             fixed_str(cell.savings.usd_per_payment, 6),

@@ -167,9 +167,9 @@ class TestScenarioConfig:
 class TestRunScenario:
     def test_zero_iterations_is_empty(self):
         report = run_scenario(desk_config(iterations_per_sample=0), Mode.NO_LEVERAGE)
-        assert report.total_cost == 0
-        assert report.payments_processed == 0
-        assert report.iterations_total == 0
+        assert report.totals["total_cost_sat"] == 0
+        assert report.totals["payments_processed"] == 0
+        assert report.totals["iterations"] == 0
 
     def test_no_leverage_mode_never_uses_leverage(self):
         report = run_scenario(desk_config(), Mode.NO_LEVERAGE)
@@ -212,14 +212,14 @@ class TestRunScenario:
         )
         assert report.failed_count == config.repetitions
         assert all(not rep.ok and rep.failure for rep in report.repetitions)
-        assert report.iterations_total == 0
+        assert report.totals["iterations"] == 0
 
     def test_cost_equals_sum_of_iteration_costs(self):
         report = run_scenario(desk_config(), Mode.LEVERAGE)
         total = sum(
             rec.cost for rep in report.ok_repetitions for rec in rep.records
         )
-        assert report.total_cost == total
+        assert report.totals["total_cost_sat"] == total
 
 
 def first_sample(config: ScenarioConfig) -> WorldState:
