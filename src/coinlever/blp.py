@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -121,9 +122,9 @@ class BlpProblem:
 
     def _dense(self, coeffs, what: str) -> tuple[Coeff, ...]:
         if isinstance(coeffs, Mapping):
+            self._check_indices(coeffs)
             out = [0] * self.n_vars
             for j, c in coeffs.items():
-                self._check_index(j)
                 out[j] = c
             return tuple(out)
         dense = tuple(coeffs)
@@ -134,20 +135,26 @@ class BlpProblem:
         return dense
 
     def _sparse(self, coeffs) -> tuple[tuple[int, Coeff], ...]:
+        # A pair is kept exactly when its coefficient is nonzero.
         if isinstance(coeffs, Mapping):
-            for j in coeffs:
-                self._check_index(j)
-            return tuple(sorted((j, c) for j, c in coeffs.items() if c != 0))
+            self._check_indices(coeffs)
+            return tuple(sorted(compress(coeffs.items(), coeffs.values())))
         dense = tuple(coeffs)
         if len(dense) != self.n_vars:
             raise MalformedProblem(
                 f"row has {len(dense)} coefficients for {self.n_vars} variables"
             )
-        return tuple((j, c) for j, c in enumerate(dense) if c != 0)
+        return tuple(compress(enumerate(dense), dense))
 
-    def _check_index(self, j) -> None:
-        if not isinstance(j, int) or not 0 <= j < self.n_vars:
-            raise MalformedProblem(f"variable index {j!r} out of range")
+    def _check_indices(self, keys: Mapping) -> None:
+        """Every key is an int in range; checked in bulk, then one by one
+        only to name the first bad key."""
+        if keys and all(map(isinstance, keys, repeat(int))):
+            if 0 <= min(keys) and max(keys) < self.n_vars:
+                return
+        for j in keys:
+            if not isinstance(j, int) or not 0 <= j < self.n_vars:
+                raise MalformedProblem(f"variable index {j!r} out of range")
 
     def row_dense(self, i: int) -> tuple[Coeff, ...]:
         """Dense coefficient vector of row ``i`` (for inspection/tests)."""

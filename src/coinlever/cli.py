@@ -29,6 +29,7 @@ from .simulation import (
     Mode,
     ScenarioConfig,
     default_sweep_configs,
+    deterministic,
     run_full,
     sweep,
 )
@@ -183,6 +184,15 @@ def _write_or_print(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _warn_unless_deterministic(is_deterministic: bool) -> None:
+    if not is_deterministic:
+        print(
+            "warning: the wall-clock budget (--budget-ms) cut a solver call short, "
+            "so this output may differ between runs",
+            file=sys.stderr,
+        )
+
+
 def cmd_select(args: argparse.Namespace) -> int:
     config = _scenario_config(args)
     state = _load_world(args)
@@ -206,8 +216,10 @@ def cmd_select(args: argparse.Namespace) -> int:
         "method": record.method.value,
         "transactions": [report_io.tx_dict(tx) for tx in record.transactions],
         "solver_attempts": [report_io.attempt_dict(a) for a in record.solver_attempts],
+        "deterministic": deterministic([record]),
     }
     _write_or_print(report_io.dumps(payload), args.out)
+    _warn_unless_deterministic(payload["deterministic"])
     return EXIT_OK
 
 
@@ -224,6 +236,7 @@ def cmd_run_full(args: argparse.Namespace) -> int:
         max_nodes=config.node_budget,
     )
     _write_or_print(report_io.dumps(report_io.run_result_dict(records, failure)), args.out)
+    _warn_unless_deterministic(deterministic(records))
     if failure:
         print(failure, file=sys.stderr)
         return EXIT_SCENARIO
@@ -251,6 +264,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         log.info("wrote %s", args.summary)
     else:
         sys.stdout.write(report_io.summary_markdown([report_io.cell_dict(c) for c in cells]))
+    _warn_unless_deterministic(
+        all(r.deterministic for c in cells for r in (c.no_leverage, c.leverage) if r)
+    )
     failures = [c for c in cells if c.error is not None]
     for cell in failures:
         print(

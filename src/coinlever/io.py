@@ -7,7 +7,10 @@ CSV formats (UTF-8, comma separated, header mandatory):
 
 JSON reports are fully deterministic: keys are sorted, satoshi amounts are
 integers, and every rational (USD figures, rates, boost factors) is an
-explicit decimal or ``num/den`` string, never a binary float.
+explicit decimal or ``num/den`` string, never a binary float. The one
+exception is a solver call that the wall-clock budget cut short, whose
+result depends on the machine's speed; every report, ``run-full`` and
+``select`` output says ``"deterministic": false`` when it holds one.
 
 Reports are never decoded back into objects: the CSV/markdown summaries
 read the JSON cells that ``cell_dict`` produces, fresh or from a file.
@@ -31,6 +34,7 @@ from .simulation import (
     ScenarioConfig,
     ScenarioReport,
     SweepCell,
+    deterministic,
     tally,
 )
 
@@ -252,6 +256,7 @@ def report_dict(report: ScenarioReport) -> dict:
     return {
         "mode": report.mode.value,
         "config": config_dict(report.config),
+        "deterministic": report.deterministic,
         "repetitions": [_repetition_dict(rep) for rep in report.repetitions],
         "summary": {
             "iterations_total": totals["iterations"],
@@ -290,6 +295,7 @@ def run_result_dict(records: Sequence[IterationRecord], error: str | None = None
     return {
         "records": [_record_dict(r) for r in records],
         "totals": tally(records),
+        "deterministic": deterministic(records),
         "error": error,
     }
 

@@ -12,7 +12,7 @@ the fallback.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -120,6 +120,12 @@ def knapsack_select(
     none exists or none was found in time, as the attempt's status says;
     the attempt is None when no largest-first prefix is good, so no program
     was built.
+
+    The program covers only the window of pool values that some feasible
+    k-set can hold, usually a handful of UTXOs out of thousands. A UTXO
+    outside it is 0 at every feasible point, and the UTXOs inside keep
+    their order, so the search meets the same incumbents in the same order
+    as over the whole pool and returns the same inputs, in no more nodes.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -127,16 +133,27 @@ def knapsack_select(
         k = opt(pool, batch, fees)
     except NoGoodPrefix:
         return None, None
-    n = len(pool)
-    values = pool.values()
+    utxos = pool.utxos
+    n = len(utxos)
     target = sum(p.value for p in batch) + tx_size(k, len(batch), 0) * fees.gamma
+    upper = target + fees.make_change
+    # Every input of a feasible k-set lies in [lowest, highest]: its k - 1
+    # partners are worth at most the k - 1 largest and at least the k - 1
+    # smallest pool values. Sorted largest first, that range is one slice.
+    lowest = target - sum(u.value for u in utxos[: k - 1])
+    highest = upper - sum(u.value for u in utxos[n - k + 1 :])
+    neg = lambda u: -u.value  # noqa: E731
+    start = bisect_left(utxos, -highest, key=neg)
+    window = utxos[start : bisect_right(utxos, -lowest, key=neg)]
+    m = len(window)
+    values = [u.value for u in window]
     problem = BlpProblem(
-        n,
+        m,
         values,
         [
-            ([1] * n, "=", k),
+            ([1] * m, "=", k),
             (values, ">=", target),
-            (values, "<=", target + fees.make_change),
+            (values, "<=", upper),
         ],
     )
     outcome = solve(problem, budget, max_nodes=max_nodes)
@@ -146,7 +163,7 @@ def knapsack_select(
     )
     if not outcome.status.has_assignment:
         return None, attempt
-    inputs = tuple(u for u, bit in zip(pool, outcome.assignment) if bit)
+    inputs = tuple(u for u, bit in zip(window, outcome.assignment) if bit)
     overpayment = sum(u.value for u in inputs) - target
     tx = Transaction(inputs, tuple(batch), change=0, overpayment=overpayment)
     if not is_good(tx, fees):
@@ -239,14 +256,14 @@ def leverage_select(
     rows.append(({y(i): 1 for i in range(n_cand)}, "<=", lev.max_extra))
     first_sum = {x1(idx): values[j] for idx, j in enumerate(viable)}
     # The first transaction's change output must exist and clear dust.
-    rows.append((dict(first_sum), ">=", total_p + fee1 + max(fees.dust, 1)))
-    rows.append((dict(first_sum), "<=", first_cap))
+    rows.append((first_sum, ">=", total_p + fee1 + max(fees.dust, 1)))
+    rows.append((first_sum, "<=", first_cap))
     row_short = {x2(j): values[j] - 148 * g for j in range(n)}
     for i in range(n_cand):
         row_short[y(i)] = -(candidates[i].value + 34 * g)
     rows.append((row_short, "<=", 158 * g))
-    rows.append((dict(balance), ">=", balance_rhs))
-    rows.append((dict(balance), "<=", balance_rhs + lev.boost * fees.make_change))
+    rows.append((balance, ">=", balance_rhs))
+    rows.append((balance, "<=", balance_rhs + lev.boost * fees.make_change))
 
     problem = BlpProblem(n_cand + n_first + n, {x2(j): 1 for j in range(n)}, rows)
     outcome = solve(problem, budget, max_nodes=max_nodes)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .datasets import bundled_payment_dataset, bundled_utxo_dataset
 from .model import FeeParams, NoGoodPrefix, PaymentRequest, Utxo, UtxoPool
@@ -210,6 +210,12 @@ def tally(records: Sequence[IterationRecord]) -> dict[str, int]:
     }
 
 
+def deterministic(records: Iterable[IterationRecord]) -> bool:
+    """False when the wall clock cut any solver call of ``records`` short:
+    what it returned depends on the machine's speed, so a rerun may differ."""
+    return all(a.limit != "clock" for r in records for a in r.solver_attempts)
+
+
 @dataclass(frozen=True)
 class RepetitionOutcome:
     """One sampled repetition: its records and sample fingerprint."""
@@ -236,6 +242,10 @@ class ScenarioReport:
     @property
     def failed_count(self) -> int:
         return sum(1 for r in self.repetitions if not r.ok)
+
+    @property
+    def deterministic(self) -> bool:
+        return deterministic(r for rep in self.repetitions for r in rep.records)
 
     @property
     def totals(self) -> dict[str, int]:

@@ -78,6 +78,45 @@ def brute_knapsack(
     return best
 
 
+def fast_knapsack(
+    values_desc: list[int],
+    payment_values: list[int],
+    gamma: int,
+    make_change: int,
+    dust: int,
+) -> int | None:
+    """``brute_knapsack`` for pools of thousands, when opt is 1 or 2.
+
+    One input: bisect for the smallest value at or above the target. Two
+    inputs: two pointers over the ascending values, which meet every pair
+    sum that could be the smallest one at or above the target. Raises
+    ValueError for a larger opt.
+    """
+    k = brute_opt(values_desc, payment_values, gamma, dust)
+    if k is None:
+        return None
+    if k > 2:
+        raise ValueError(f"fast_knapsack handles opt <= 2, got {k}")
+    target = sum(payment_values) + size_bytes(k, len(payment_values), 0) * gamma
+    values = sorted(values_desc)
+    best: int | None = None
+    if k == 1:
+        pos = bisect_left(values, target)
+        if pos < len(values):
+            best = values[pos] - target
+    else:
+        lo, hi = 0, len(values) - 1
+        while lo < hi:
+            s = values[lo] + values[hi]
+            if s < target:
+                lo += 1
+            else:
+                if best is None or s - target < best:
+                    best = s - target
+                hi -= 1
+    return best if best is not None and best <= make_change else None
+
+
 def brute_leverage(
     values_desc: list[int],
     payment_values: list[int],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,15 @@ class TestProblemConstruction:
     def test_sparse_index_out_of_range(self):
         with pytest.raises(MalformedProblem):
             BlpProblem(2, {0: 1}, [({5: 1}, "<=", 1)])
+
+    @pytest.mark.parametrize("bad", [1_000, 5_000, -1, "7", 2.5])
+    def test_bad_key_in_a_large_mapping(self, bad):
+        coeffs = {j: 1 for j in range(1_000)}
+        coeffs[bad] = 1
+        with pytest.raises(MalformedProblem, match=re.escape(repr(bad))):
+            BlpProblem(1_000, {}, [(coeffs, "<=", 1)])
+        with pytest.raises(MalformedProblem, match=re.escape(repr(bad))):
+            BlpProblem(1_000, coeffs, [])
 
     def test_unknown_relation(self):
         with pytest.raises(MalformedProblem):

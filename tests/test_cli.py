@@ -284,3 +284,44 @@ class TestReport:
         code = main(["report", "--in", str(report), "--out", str(out)])
         assert code == 2
         assert "io error" in capsys.readouterr().err
+
+
+class TestDeterminism:
+    WARNING = "warning: the wall-clock budget"
+
+    def args(self, command, pools, *extra):
+        utxos, payments = pools
+        return [command, "--utxos", str(utxos), "--payments", str(payments),
+                "--gamma", "200", "--mode", "leverage", *extra]
+
+    @pytest.mark.parametrize("command", ["select", "run-full"])
+    def test_clock_stop_is_flagged_and_warned_once(self, pools, capsys, slow_clock, command):
+        assert main(self.args(command, pools, "--budget-ms", "1")) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["deterministic"] is False
+        assert err.count(self.WARNING) == 1
+
+    def test_simulate_clock_stop_is_flagged_and_warned_once(self, tmp_path, capsys, slow_clock):
+        out = tmp_path / "report.json"
+        code = main(
+            ["simulate", "--gamma", "200", "--utxo-pool-size", "100",
+             "--payment-pool-size", "24", "--iterations-per-sample", "2",
+             "--repetitions", "2", "--budget-ms", "1", "--out", str(out)]
+        )
+        assert code == 0
+        (cell,) = json.loads(out.read_text())["cells"]
+        assert cell["leverage"]["deterministic"] is False
+        assert capsys.readouterr().err.count(self.WARNING) == 1
+
+    def test_node_cap_stops_stay_deterministic(self, pools, capsys):
+        args = self.args("run-full", pools, "--budget-ms", "30000", "--node-budget", "1")
+        assert main(args) == 0
+        first, err = capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        payload = json.loads(first)
+        limits = {a["limit"] for r in payload["records"] for a in r["solver_attempts"]}
+        assert "nodes" in limits and "clock" not in limits
+        assert payload["deterministic"] is True
+        assert self.WARNING not in err

@@ -196,6 +196,16 @@ class TestSummaries:
         assert "### Savings per payment request" in text
         assert text.count("| gamma |") == 3
 
+    def test_determinism_flag_stays_out_of_the_summaries(self, slow_clock):
+        config = ScenarioConfig(gamma=200, batch_size=2, rng_seed=5, **{**DESK, "budget_ms": 1})
+        cell = cell_dict(run_cell(config))
+        assert cell["leverage"]["deterministic"] is False
+        bare = json.loads(json.dumps(cell))
+        for mode in ("no_leverage", "leverage"):
+            del bare[mode]["deterministic"]
+        assert summary_csv([cell]) == summary_csv([bare])
+        assert summary_markdown([cell]) == summary_markdown([bare])
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], "xml", tmp_path / "x")

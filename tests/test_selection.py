@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coinlever.selection as selection
 from coinlever.blp import BlpProblem, SolveStatus, solve
 from coinlever.datasets import bundled_payment_dataset, bundled_utxo_dataset
 from coinlever.io import attempt_dict
@@ -34,13 +37,22 @@ from coinlever.selection import (
 )
 from coinlever.orchestrator import WorldState
 from coinlever.simulation import (
+    BATCH_SWEEP,
+    GAMMA_SWEEP,
     ScenarioConfig,
     derive_seed,
     sample_payments,
     sample_utxo_pool,
 )
 
-from oracles import brute_fallback, brute_knapsack, brute_leverage, size_bytes
+from oracles import (
+    brute_fallback,
+    brute_knapsack,
+    brute_leverage,
+    brute_opt,
+    fast_knapsack,
+    size_bytes,
+)
 
 GENEROUS = 60.0
 
@@ -143,6 +155,86 @@ class TestKnapsack:
         assert len(tx.inputs) == opt(pool, reqs, fees)
         assert is_good(tx, fees)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        gamma=st.sampled_from([0, 1]),
+        plant=st.sampled_from(["low", "high", "random"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_window_program_matches_the_whole_pool_program(self, seed, gamma, plant):
+        # Few distinct values, so the pool repeats them; "low"/"high" build
+        # the batch so that a pool value sits exactly on that window edge.
+        rng = random.Random(seed)
+        palette = [rng.randint(1, 400) for _ in range(rng.randint(1, 5))]
+        values = sorted((rng.choice(palette) for _ in range(rng.randint(1, 12))), reverse=True)
+        fees = FeeParams(gamma=gamma, dust=rng.randint(0, 40), make_change=rng.randint(0, 8))
+        k = rng.randint(1, min(6, len(values)))
+        n_pay = rng.randint(1, 3)
+        if plant == "low":
+            target = sum(values[: k - 1]) + rng.choice(values[k - 1 :])
+        elif plant == "high":
+            rest = len(values) - k + 1
+            target = sum(values[rest:]) + rng.choice(values[:rest]) - fees.make_change
+        else:
+            target = rng.randint(1, sum(values))
+        total_p = target - size_bytes(k, n_pay, 0) * gamma
+        if total_p < n_pay:
+            return
+        cuts = sorted(rng.sample(range(1, total_p), n_pay - 1))
+        pool = make_pool(values)
+        batch = make_payments([b - a for a, b in zip([0, *cuts], [*cuts, total_p])])
+
+        built = []
+
+        def spy(*args):
+            built.append(BlpProblem(*args))
+            return built[-1]
+
+        with mock.patch.object(selection, "BlpProblem", spy):
+            tx, attempt = knapsack_select(pool, batch, fees, GENEROUS)
+        try:
+            k = opt(pool, batch, fees)
+        except NoGoodPrefix:
+            assert (tx, attempt) == (None, None)
+            return
+        target = sum(p.value for p in batch) + size_bytes(k, n_pay, 0) * gamma
+        upper = target + fees.make_change
+        # The program holds exactly the UTXOs that fit beside the k - 1
+        # largest and beside the k - 1 smallest others.
+        lowest = target - sum(values[: k - 1])
+        highest = upper - sum(values[len(values) - k + 1 :])
+        (program,) = built
+        assert list(program.objective) == [v for v in values if lowest <= v <= highest]
+
+        n = len(values)
+        rows = [([1] * n, "=", k), (list(values), ">=", target), (list(values), "<=", upper)]
+        whole = solve(BlpProblem(n, list(values), rows), GENEROUS)
+        assert (attempt.status, attempt.objective) == (whole.status, whole.objective_value)
+        assert attempt.limit is whole.limit is None
+        assert attempt.nodes <= whole.nodes_explored
+        if tx is None:
+            assert not whole.status.has_assignment
+            return
+        chosen = [u.id for u, bit in zip(pool, whole.assignment) if bit]
+        assert [u.id for u in tx.inputs] == chosen
+        assert tx.overpayment == whole.objective_value - target
+
+
+def first_repetition(config: ScenarioConfig) -> tuple[UtxoPool, tuple[PaymentRequest, ...]]:
+    """The pool and the pending backlog of repetition 0 of ``config``."""
+    pool = sample_utxo_pool(
+        bundled_utxo_dataset(),
+        config.utxo_pool_size,
+        random.Random(derive_seed(config.rng_seed, 0, "utxo")),
+    )
+    payments = sample_payments(
+        bundled_payment_dataset(),
+        config.payment_pool_size,
+        config.effective_min_payment,
+        random.Random(derive_seed(config.rng_seed, 0, "pay")),
+    )
+    return pool, WorldState.initial(pool, payments).pending
+
 
 class TestFullScaleKnapsack:
     """Knapsack programs over the protocol's full-size pool (2,500 UTXOs)."""
@@ -151,19 +243,41 @@ class TestFullScaleKnapsack:
     def sample(self):
         # The first batch of repetition 0 of the gamma=200, M=2 cell.
         config = ScenarioConfig(gamma=200, batch_size=2, rng_seed=2019)
-        pool = sample_utxo_pool(
-            bundled_utxo_dataset(),
-            config.utxo_pool_size,
-            random.Random(derive_seed(config.rng_seed, 0, "utxo")),
-        )
-        payments = sample_payments(
-            bundled_payment_dataset(),
-            config.payment_pool_size,
-            config.effective_min_payment,
-            random.Random(derive_seed(config.rng_seed, 0, "pay")),
-        )
-        batch = WorldState.initial(pool, payments).pending[: config.batch_size]
-        return pool, batch, config.fee_params()
+        pool, pending = first_repetition(config)
+        return pool, pending[: config.batch_size], config.fee_params()
+
+    @pytest.mark.parametrize("gamma", GAMMA_SWEEP)
+    def test_matches_fast_oracle(self, gamma):
+        config = ScenarioConfig(gamma=gamma, batch_size=2, rng_seed=2019)
+        pool, pending = first_repetition(config)
+        fees = config.fee_params()
+        values = list(pool.values())
+        # Every batch of the backlog at every sweep batch size (opt is 1 for
+        # all of them), then single payments whose target lies 0 to
+        # make_change + 1 below the largest UTXO plus another (opt 2 for
+        # most of them).
+        batches = [
+            pending[i : i + m] for m in BATCH_SWEEP for i in range(0, len(pending) - m + 1, m)
+        ]
+        fee2 = size_bytes(2, 1, 0) * gamma
+        for j in range(1, len(values), 200):
+            for d in (0, fees.make_change // 2, fees.make_change + 1):
+                batches.append(make_payments([values[0] + values[j] - fee2 - d], "x"))
+        by_k = Counter()
+        for batch in batches:
+            pay = [p.value for p in batch]
+            k = brute_opt(values, pay, gamma, fees.dust)
+            if k is not None and k > 2:
+                continue
+            by_k[k] += 1
+            expected = fast_knapsack(values, pay, gamma, fees.make_change, fees.dust)
+            tx, attempt = knapsack_select(pool, batch, fees, GENEROUS)
+            assert (tx is None) == (expected is None)
+            if tx is not None:
+                target = sum(pay) + size_bytes(k, len(pay), 0) * gamma
+                assert attempt.objective == target + expected
+                assert tx.overpayment == expected
+        assert by_k[1] >= 250 and by_k[2] >= 25
 
     def test_first_program_solved_to_optimality(self, sample):
         pool, batch, fees = sample
