@@ -125,7 +125,7 @@ def knapsack_select(
     k-set can hold, usually a handful of UTXOs out of thousands. A UTXO
     outside it is 0 at every feasible point, and the UTXOs inside keep
     their order, so the search meets the same incumbents in the same order
-    as over the whole pool and returns the same inputs, in no more nodes.
+    as a search over the whole pool would, and in no more nodes.
     """
     if not batch:
         raise ValueError("batch must be non-empty")

@@ -168,16 +168,16 @@ class TestKnapsack:
         palette = [rng.randint(1, 400) for _ in range(rng.randint(1, 5))]
         values = sorted((rng.choice(palette) for _ in range(rng.randint(1, 12))), reverse=True)
         fees = FeeParams(gamma=gamma, dust=rng.randint(0, 40), make_change=rng.randint(0, 8))
-        k = rng.randint(1, min(6, len(values)))
+        planted_k = rng.randint(1, min(6, len(values)))
         n_pay = rng.randint(1, 3)
         if plant == "low":
-            target = sum(values[: k - 1]) + rng.choice(values[k - 1 :])
+            target = sum(values[: planted_k - 1]) + rng.choice(values[planted_k - 1 :])
         elif plant == "high":
-            rest = len(values) - k + 1
+            rest = len(values) - planted_k + 1
             target = sum(values[rest:]) + rng.choice(values[:rest]) - fees.make_change
         else:
             target = rng.randint(1, sum(values))
-        total_p = target - size_bytes(k, n_pay, 0) * gamma
+        total_p = target - size_bytes(planted_k, n_pay, 0) * gamma
         if total_p < n_pay:
             return
         cuts = sorted(rng.sample(range(1, total_p), n_pay - 1))
@@ -207,8 +207,8 @@ class TestKnapsack:
         assert list(program.objective) == [v for v in values if lowest <= v <= highest]
 
         n = len(values)
-        rows = [([1] * n, "=", k), (list(values), ">=", target), (list(values), "<=", upper)]
-        whole = solve(BlpProblem(n, list(values), rows), GENEROUS)
+        rows = [([1] * n, "=", k), (values, ">=", target), (values, "<=", upper)]
+        whole = solve(BlpProblem(n, values, rows), GENEROUS)
         assert (attempt.status, attempt.objective) == (whole.status, whole.objective_value)
         assert attempt.limit is whole.limit is None
         assert attempt.nodes <= whole.nodes_explored
