@@ -286,10 +286,14 @@ def solve(
     # ``(row, coeff, in the row's free part)`` for each variable.
     cols: list[list[tuple[int, Coeff, bool]]] = [[] for _ in range(n)]
     # The covered parts of each row, one per block it meets, as
-    # ``(block row, top entries, top marks, bottom entries, bottom marks)``.
-    # Entries are ``(rank, coeff)`` pairs, best first; a variable is fixed
-    # at depth d exactly when its rank is at most d.
-    parts: list[list[tuple[int, list, list, list, list]]] = [[] for _ in range(n_rows)]
+    # ``(block row, top side, bottom side)``. A side is ``[entries, marks,
+    # stamp, sum]``: entries are ``(rank, coeff)`` pairs, best first, and a
+    # variable is fixed at depth d exactly when its rank is at most d.
+    parts: list[list[tuple[int, list, list]]] = [[] for _ in range(n_rows)]
+    # Bumped whenever a variable of the block is fixed or freed (the spare
+    # last slot for a variable in no block): a side's sum, which depends
+    # only on its block, holds while its stamp equals the block's count.
+    changes = [0] * (n_rows + 1)
     for i, (coeffs, _, _) in enumerate(rows):
         covered: dict[int, list[tuple[int, Coeff]]] = {}
         for j, c in coeffs:
@@ -317,10 +321,8 @@ def solve(
             parts[i].append(
                 (
                     b,
-                    sorted(top, key=itemgetter(1), reverse=True),
-                    [],
-                    sorted(bottom, key=itemgetter(1)),
-                    [],
+                    [sorted(top, key=itemgetter(1), reverse=True), [], -1, 0],
+                    [sorted(bottom, key=itemgetter(1)), [], -1, 0],
                 )
             )
 
@@ -355,14 +357,20 @@ def solve(
         rel = rels[i]
         if rel != _GE:
             lo = acts[i] + neg_rems[i]
-            for b, _, _, bottom, marks in parts[i]:
-                lo += extreme(bottom, marks, rhss[b] - acts[b], depth)
+            for b, _, bottom in parts[i]:
+                if bottom[2] != changes[b]:
+                    bottom[2] = changes[b]
+                    bottom[3] = extreme(bottom[0], bottom[1], rhss[b] - acts[b], depth)
+                lo += bottom[3]
             if lo > rhss[i]:
                 return True
         if rel != _LE:
             hi = acts[i] + pos_rems[i]
-            for b, top, marks, _, _ in parts[i]:
-                hi += extreme(top, marks, rhss[b] - acts[b], depth)
+            for b, top, _ in parts[i]:
+                if top[2] != changes[b]:
+                    top[2] = changes[b]
+                    top[3] = extreme(top[0], top[1], rhss[b] - acts[b], depth)
+                hi += top[3]
             if hi < rhss[i]:
                 return True
         return False
@@ -431,6 +439,7 @@ def solve(
         if is_undo:
             if flip:
                 bound -= abs(objective[j])
+            changes[block_of[j]] += 1
             for i, a, free in cols[j]:
                 if value:
                     acts[i] -= a
@@ -458,6 +467,7 @@ def solve(
             continue
         bound = child_bound
         fixed[j] = value
+        changes[block_of[j]] += 1
         for i, a, free in cols[j]:
             if value:
                 acts[i] += a

@@ -8,7 +8,9 @@ output is present).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 # P2PKH byte accounting.
@@ -96,13 +98,8 @@ class PaymentRequest:
             raise ValueError(f"payment {self.id!r} must have positive value")
 
 
-def _check_unique_ids(items: Iterable[object], kind: str) -> None:
-    seen: set[str] = set()
-    for item in items:
-        item_id = item.id  # type: ignore[attr-defined]
-        if item_id in seen:
-            raise ValueError(f"duplicate {kind} id {item_id!r}")
-        seen.add(item_id)
+def _neg_value(utxo: Utxo) -> Amount:
+    return -utxo.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,16 +107,25 @@ class UtxoPool:
     """An immutable pool of UTXOs kept sorted by value, largest first.
 
     Equal values keep their insertion order, so pool evolution is fully
-    deterministic.
+    deterministic. ``index`` maps each id to its value, so that updates find
+    ids by dict lookups and ``bisect``, not by a scan; ``from_utxos`` builds
+    it, and equality, hashing and repr leave it out.
     """
 
     utxos: tuple[Utxo, ...]
+    index: dict[str, Amount] = field(compare=False, repr=False)
 
     @classmethod
     def from_utxos(cls, utxos: Iterable[Utxo]) -> "UtxoPool":
-        ordered = tuple(sorted(utxos, key=lambda u: -u.value))
-        _check_unique_ids(ordered, "UTXO")
-        return cls(ordered)
+        ordered = tuple(sorted(utxos, key=attrgetter("value"), reverse=True))
+        index = {u.id: u.value for u in ordered}
+        if len(index) != len(ordered):
+            seen: set[str] = set()
+            for u in ordered:
+                if u.id in seen:
+                    raise ValueError(f"duplicate UTXO id {u.id!r}")
+                seen.add(u.id)
+        return cls(ordered, index)
 
     def __len__(self) -> int:
         return len(self.utxos)
@@ -141,22 +147,28 @@ class UtxoPool:
     def without(self, ids: Iterable[str]) -> "UtxoPool":
         """Pool with the given UTXOs removed; every id must be present."""
         wanted = set(ids)
-        kept = tuple(u for u in self.utxos if u.id not in wanted)
-        if len(kept) != len(self.utxos) - len(wanted):
-            missing = wanted - {u.id for u in self.utxos}
+        if missing := wanted.difference(self.index):
             raise KeyError(f"unknown UTXO ids: {sorted(missing)}")
-        return UtxoPool(kept)
+        utxos, index, spent = self.utxos, self.index.copy(), []
+        for uid in wanted:
+            # Bisect to the UTXO's equal-value run, then walk the run.
+            pos = bisect_left(utxos, -index.pop(uid), key=_neg_value)
+            while utxos[pos].id != uid:
+                pos += 1
+            spent.append(pos)
+        kept = list(utxos)
+        for pos in sorted(spent, reverse=True):
+            del kept[pos]
+        return UtxoPool(tuple(kept), index)
 
     def with_utxo(self, utxo: Utxo) -> "UtxoPool":
         """Pool with ``utxo`` inserted at its sorted position (after equals)."""
-        if any(u.id == utxo.id for u in self.utxos):
+        if utxo.id in self.index:
             raise ValueError(f"duplicate UTXO id {utxo.id!r}")
-        pos = len(self.utxos)
-        for i, u in enumerate(self.utxos):
-            if u.value < utxo.value:
-                pos = i
-                break
-        return UtxoPool(self.utxos[:pos] + (utxo,) + self.utxos[pos:])
+        pos = bisect_right(self.utxos, -utxo.value, key=_neg_value)
+        index = self.index.copy()  # dict.copy stays fast after deletions; {**d} does not
+        index[utxo.id] = utxo.value
+        return UtxoPool(self.utxos[:pos] + (utxo,) + self.utxos[pos:], index)
 
 
 @dataclass(frozen=True, slots=True)

@@ -85,8 +85,12 @@ def _build_record(
     )
 
 
-def apply_update(state: WorldState, record: IterationRecord) -> WorldState:
-    """Next world state after an iteration's pool and backlog effects."""
+def apply_update(state: WorldState, record: IterationRecord, front: int) -> WorldState:
+    """Next world state after an iteration's pool and backlog effects.
+
+    Funded payments are sought only among the first ``front`` pending ones,
+    the batch and candidate window; the rest of the backlog is kept as is.
+    """
     try:
         pool = state.utxo_pool.without(record.spent_utxo_ids)
     except KeyError as exc:
@@ -94,9 +98,10 @@ def apply_update(state: WorldState, record: IterationRecord) -> WorldState:
     if record.change_utxo is not None:
         pool = pool.with_utxo(record.change_utxo)
     done = set(record.processed_ids)
+    pending = state.pending
     return WorldState(
         utxo_pool=pool,
-        pending=tuple(p for p in state.pending if p.id not in done),
+        pending=tuple(p for p in pending[:front] if p.id not in done) + pending[front:],
         iteration=record.iteration,
     )
 
@@ -136,4 +141,4 @@ def step(
         change_id=f"lev-change:{iteration}",
     )
     record = _build_record(iteration, outcome, fees)
-    return apply_update(state, record), record
+    return apply_update(state, record, len(batch) + len(candidates)), record

@@ -191,11 +191,10 @@ def sample_payments(
 
 
 def _sample_digest(pool: UtxoPool, payments: Sequence[PaymentRequest]) -> str:
+    # One update per stream digests the same bytes as one update per item.
     h = hashlib.blake2b(digest_size=16)
-    for u in pool:
-        h.update(f"u:{u.id}:{u.value};".encode())
-    for p in payments:
-        h.update(f"p:{p.id}:{p.value}:{p.urgency_rank};".encode())
+    h.update("".join([f"u:{u.id}:{u.value};" for u in pool]).encode())
+    h.update("".join([f"p:{p.id}:{p.value}:{p.urgency_rank};" for p in payments]).encode())
     return h.hexdigest()
 
 

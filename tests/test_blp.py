@@ -222,6 +222,19 @@ class TestSolveAgainstEnumeration:
 
 
 class TestSolveContracts:
+    def test_node_counts_are_pinned(self):
+        # Reports carry every call's node count. A change in how the row
+        # bounds are kept (cursors, cached block-part sums) that is not
+        # exact moves some count here, even where the optimum stays. Update
+        # the literal only with a change meant to alter the search.
+        total = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            coefficient = signed_coefficient if seed % 2 else mixed_coefficient
+            _, objective, rows = cardinality_problem(rng, coefficient=coefficient)
+            total += solve(BlpProblem(len(objective), objective, rows), GENEROUS).nodes_explored
+        assert total == 5070
+
     @given(seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=100, deadline=None)
     def test_soundness_and_determinism(self, seed):

@@ -323,3 +323,61 @@ class TestUtxoPool:
     def test_zero_value_rejected(self):
         with pytest.raises(ValueError):
             Utxo("z", 0)
+
+    def test_duplicate_id_named_on_construction(self):
+        with pytest.raises(ValueError, match="duplicate UTXO id 'b'"):
+            UtxoPool.from_utxos([Utxo("a", 1), Utxo("b", 3), Utxo("c", 2), Utxo("b", 2)])
+
+    def test_index_is_not_part_of_the_value(self):
+        pool = make_pool([5, 3]).with_utxo(Utxo("n", 4)).without(["u1"])
+        rebuilt = UtxoPool.from_utxos([Utxo("u0", 5), Utxo("n", 4)])
+        assert pool == rebuilt and hash(pool) == hash(rebuilt)
+        assert repr(pool) == repr(rebuilt) and "index" not in repr(pool)
+
+
+def sorted_insert(reference: list[Utxo], utxo: Utxo) -> None:
+    """Insert into a largest-first list after every equal or larger value."""
+    reference.insert(sum(u.value >= utxo.value for u in reference), utxo)
+
+
+class TestUtxoPoolAgainstSortedList:
+    """``without`` and ``with_utxo`` against a plain list kept sorted largest
+    first, with few distinct values so that equal-value runs are long."""
+
+    @given(values=st.lists(st.integers(1, 4), max_size=12), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_update_sequences(self, values, data):
+        initial = [Utxo(f"u{i}", v) for i, v in enumerate(values)]
+        reference: list[Utxo] = []
+        for utxo in initial:
+            sorted_insert(reference, utxo)
+        pool = UtxoPool.from_utxos(initial)
+        assert list(pool) == reference
+        for step in range(data.draw(st.integers(0, 15), label="steps")):
+            before, before_utxos, before_index = pool, list(pool), dict(pool.index)
+            known = [u.id for u in reference]
+            drawn = st.lists(st.sampled_from(known), max_size=4) if known else st.just([])
+            op = data.draw(st.sampled_from(["add", "drop", "unknown", "duplicate"]))
+            if op == "add":
+                utxo = Utxo(f"n{step}", data.draw(st.integers(1, 4)))
+                sorted_insert(reference, utxo)
+                pool = pool.with_utxo(utxo)
+            elif op == "drop":
+                ids = data.draw(drawn)
+                reference = [u for u in reference if u.id not in ids]
+                pool = pool.without(ids)
+            elif op == "unknown":
+                unknown = data.draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1))
+                ids = data.draw(drawn) + unknown
+                with pytest.raises(KeyError) as raised:
+                    pool.without(data.draw(st.permutations(ids)))
+                assert raised.value.args[0] == f"unknown UTXO ids: {sorted(set(unknown))}"
+            elif known:
+                duplicate = Utxo(data.draw(st.sampled_from(known)), data.draw(st.integers(1, 4)))
+                with pytest.raises(ValueError, match=f"duplicate UTXO id {duplicate.id!r}"):
+                    pool.with_utxo(duplicate)
+            assert list(pool) == reference
+            assert pool.index == {u.id: u.value for u in reference}
+            assert pool == UtxoPool.from_utxos(reference)
+            # The state an update started from is untouched by it.
+            assert list(before) == before_utxos and before.index == before_index

@@ -100,7 +100,7 @@ class TestStepAndUpdate:
         state = WorldState.initial(make_pool([5, 3]), make_payments([4]))
         _, record = step(state, 1, fees, GENEROUS)
         with pytest.raises(UnknownUtxo):
-            apply_update(apply_update(state, record), record)
+            apply_update(apply_update(state, record, 1), record, 1)
 
     def test_batch_respects_urgency_not_insertion(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from coinlever.datasets import (
@@ -15,7 +17,7 @@ from coinlever.datasets import (
     synthetic_utxo_dataset,
 )
 import coinlever.simulation as simulation
-from coinlever.model import PaymentRequest, Utxo, dust_threshold
+from coinlever.model import PaymentRequest, Utxo, UtxoPool, dust_threshold
 from coinlever.orchestrator import WorldState
 from coinlever.selection import Method
 from coinlever.simulation import (
@@ -294,6 +296,50 @@ class TestRunFull:
         calls.clear()
         records, _, _ = run_config(config, Mode.NO_LEVERAGE)
         assert calls == list(records) and len(records) > config.iterations_per_sample
+
+
+class TestDrainedRuns:
+    """Whole backlogs at desk scale, with a candidate window short enough
+    that most of the backlog lies beyond the front a step touches."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        gamma=st.sampled_from(GAMMA_SWEEP),
+        batch_size=st.sampled_from([2, 3]),
+        window=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_pool_and_backlog_balance_exactly(self, mode, seed, gamma, batch_size, window):
+        config = desk_config(
+            gamma=gamma, batch_size=batch_size, rng_seed=seed, candidate_window=window
+        )
+        initial = first_sample(config)
+        records, final, failure = run_config(config, mode, limit=None)
+        processed = {pid for r in records for pid in r.processed_ids}
+        assert len(processed) == sum(len(r.processed_ids) for r in records)
+        paid = sum(p.value for p in initial.pending if p.id in processed)
+        assert initial.utxo_pool.total() - final.utxo_pool.total() == (
+            sum(r.cost for r in records) + paid
+        )
+        assert final.pending == tuple(p for p in initial.pending if p.id not in processed)
+        assert failure is not None or final.pending == ()
+
+
+class TestSampleDigest:
+    """Every report carries the digest, so it must not change by a byte."""
+
+    def test_tiny_sample_is_pinned(self):
+        pool = UtxoPool.from_utxos([Utxo("a", 5), Utxo("b", 9), Utxo("c", 5)])
+        payments = (PaymentRequest("p0", 4, 0), PaymentRequest("p1", 7, 1))
+        assert simulation._sample_digest(pool, payments) == "3e5075eb7f4959cbd8bf69bfaa3b4435"
+        empty = simulation._sample_digest(UtxoPool.from_utxos([]), ())
+        assert empty == "cae66941d9efbd404e4d88758ea67670"
+
+    def test_bundled_protocol_sample_is_pinned(self):
+        config = ScenarioConfig(gamma=22, batch_size=2, repetitions=1, iterations_per_sample=0)
+        report = run_scenario(config, Mode.NO_LEVERAGE)
+        assert report.repetitions[0].sample_digest == "4ead6370da3625f829c9b8c64f39cb7f"
 
 
 class TestSummarize:
