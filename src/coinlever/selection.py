@@ -8,6 +8,11 @@ says why it failed. The fallback selector is a largest-first prefix
 construction that always succeeds while the pool can cover the batch at
 all. ``attempt_selection`` is the cascade: knapsack, then leverage, then
 the fallback.
+
+The leverage program counts only the second transaction's pool inputs; one
+pass after the solve lowers the overpayment by one-input swaps of the first
+inputs, over all bundles below a 20,000-bundle gate. A 64-candidate window
+passes bundle size 2 (C(64, 2) = 2,016) but not 3 (C(64, 3) = 41,664).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 from typing import Sequence
 
 from .blp import BlpProblem, Coeff, SolveStatus, solve
@@ -100,7 +106,8 @@ def fallback_select(
     else:
         change = total_in - total_p - tx_size(k, len(batch), 1) * fees.gamma
         tx = Transaction(inputs, tuple(batch), change=change, overpayment=0)
-    assert is_good(tx, fees)
+    if not is_good(tx, fees):
+        raise RuntimeError("fallback transaction failed the goodness check")
     return tx
 
 
@@ -191,6 +198,11 @@ def leverage_select(
     The pair is None when infeasible or out of budget, as the attempt's
     status says; the attempt is None when no program was built, for want of
     candidates or of a good largest-first prefix.
+
+    The solver settles the second transaction's input count, and
+    ``_cheapest_pair`` then lowers the overpayment beside the same second
+    inputs by one-input swaps of the first inputs: against every bundle when
+    there is one first input and at most 20,000 bundles, else the solver's.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -204,9 +216,10 @@ def leverage_select(
     except NoGoodPrefix:
         return None, None
 
-    n = len(pool)
+    utxos = pool.utxos
+    n = len(utxos)
     n_cand = len(candidates)
-    values = pool.values()
+    ascending = [u.value for u in reversed(utxos)]
     g = fees.gamma
     total_p = sum(p.value for p in batch)
     fee1 = tx_size(k, len(batch), 1) * g
@@ -215,7 +228,7 @@ def leverage_select(
     # need any second transaction could have, so inputs whose value alone
     # overshoots that cap are out of every feasible assignment. Dropping
     # them up front keeps the search over realistic input choices only.
-    small_gap = sum(148 * g - v for v in values if v < 148 * g)
+    small_gap = sum(148 * g - v for v in ascending[: bisect_left(ascending, 148 * g)])
     cand_desc = sorted((c.value for c in candidates), reverse=True)
     top = 0
     best_extras = 0
@@ -226,9 +239,12 @@ def leverage_select(
     change_cap = best_extras + 158 * g + small_gap + lev.boost * fees.make_change
     first_cap = total_p + fee1 + change_cap
     # A change output must exist and clear dust, so with a single first
-    # input its value is bounded on both sides.
+    # input its value is bounded on both sides. Sorted largest first, the
+    # values in [first_floor, first_cap] are one slice of the pool.
     first_floor = total_p + fee1 + max(fees.dust, 1) if k == 1 else 0
-    viable = [j for j in range(n) if first_floor <= values[j] <= first_cap]
+    viable = range(
+        n - bisect_right(ascending, first_cap), n - bisect_left(ascending, first_floor)
+    )
 
     # Variable layout: extra payments first, then first-transaction inputs,
     # then second-transaction inputs. Only the last block carries objective
@@ -243,24 +259,20 @@ def leverage_select(
     # The second transaction spends the first's change plus the selected
     # extra inputs; its fee is size(1 + |extra inputs|, |extras|, 0) * gamma,
     # already expanded into the coefficients below.
-    balance = {x1(idx): values[j] for idx, j in enumerate(viable)}
-    for j in range(n):
-        balance[x2(j)] = values[j] - 148 * g
+    first_sum = {x1(idx): utxos[j].value for idx, j in enumerate(viable)}
+    row_short = {x2(j): u.value - 148 * g for j, u in enumerate(utxos)}
     for i in range(n_cand):
-        balance[y(i)] = -(candidates[i].value + 34 * g)
+        row_short[y(i)] = -(candidates[i].value + 34 * g)
+    balance = {**first_sum, **row_short}
     balance_rhs = total_p + fee1 + 158 * g
 
     rows: list = [({x1(idx): 1, x2(j): 1}, "<=", 1) for idx, j in enumerate(viable)]
     rows.append(({x1(idx): 1 for idx in range(n_first)}, "=", k))
     rows.append(({y(i): 1 for i in range(n_cand)}, ">=", lev.min_extra))
     rows.append(({y(i): 1 for i in range(n_cand)}, "<=", lev.max_extra))
-    first_sum = {x1(idx): values[j] for idx, j in enumerate(viable)}
     # The first transaction's change output must exist and clear dust.
     rows.append((first_sum, ">=", total_p + fee1 + max(fees.dust, 1)))
     rows.append((first_sum, "<=", first_cap))
-    row_short = {x2(j): values[j] - 148 * g for j in range(n)}
-    for i in range(n_cand):
-        row_short[y(i)] = -(candidates[i].value + 34 * g)
     rows.append((row_short, "<=", 158 * g))
     rows.append((balance, ">=", balance_rhs))
     rows.append((balance, "<=", balance_rhs + lev.boost * fees.make_change))
@@ -275,21 +287,16 @@ def leverage_select(
         return None, attempt
 
     bits = outcome.assignment
-    first_inputs = tuple(pool.utxos[j] for idx, j in enumerate(viable) if bits[x1(idx)])
-    second_pool_inputs = tuple(pool.utxos[j] for j in range(n) if bits[x2(j)])
+    first_inputs = tuple(utxos[j] for idx, j in enumerate(viable) if bits[x1(idx)])
+    second_pool_inputs = tuple(utxos[j] for j in range(n) if bits[x2(j)])
     extras = tuple(candidates[i] for i in range(n_cand) if bits[y(i)])
 
-    if k == 1:
-        refined = _best_single_input_pairing(
-            pool, candidates, second_pool_inputs, total_p, fee1, fees, lev
-        )
-        if refined is not None:
-            first_inputs, extras = refined
+    first_inputs, extras = _cheapest_pair(
+        utxos, ascending, first_inputs, second_pool_inputs, extras, candidates,
+        total_p + fee1, fees, lev,
+    )
     fee2 = tx_size(1 + len(second_pool_inputs), len(extras), 0) * g
     need = sum(p.value for p in extras) + fee2 - sum(u.value for u in second_pool_inputs)
-    first_inputs = _shrink_first_inputs(
-        pool, first_inputs, second_pool_inputs, total_p, fee1, need, fees
-    )
     change = sum(u.value for u in first_inputs) - total_p - fee1
     overpay2 = change - need
 
@@ -305,101 +312,63 @@ def leverage_select(
     return (tx1, tx2), attempt
 
 
-def _best_single_input_pairing(
-    pool: UtxoPool,
+def _cheapest_pair(
+    utxos: tuple[Utxo, ...],
+    ascending: list[int],
+    first: tuple[Utxo, ...],
+    second: tuple[Utxo, ...],
+    extras: tuple[PaymentRequest, ...],
     candidates: Sequence[PaymentRequest],
-    second_inputs: tuple[Utxo, ...],
-    total_p: int,
-    fee1: int,
+    base: int,
     fees: FeeParams,
     lev: LeverageParams,
-) -> tuple[tuple[Utxo, ...], tuple[PaymentRequest, ...]] | None:
-    """Cheapest single-input/extra-bundle pairing for a fixed second input set.
+) -> tuple[tuple[Utxo, ...], tuple[PaymentRequest, ...]]:
+    """First inputs and bundle of least overpayment beside fixed second inputs.
 
-    The solver's objective only counts second-transaction inputs, so all
-    pairings with the same input count tie; this sweep picks the one with
-    the smallest overpayment. Skipped when the bundle space is too large to
-    enumerate cheaply.
+    A swap's new input is the smallest UTXO outside the pair whose change
+    funds the bundle and clears dust, ties to the smallest id. Over all
+    bundles, ties go to the earlier bundle; over the solver's bundle alone,
+    the solver's pair stands on a tie. ``base`` is the batch total plus the
+    first fee; ``ascending`` holds the pool's values, smallest first.
     """
     n_cand = len(candidates)
     sizes = range(lev.min_extra, min(lev.max_extra, n_cand) + 1)
-    if sum(comb(n_cand, t) for t in sizes) > 20_000:
-        return None
-    taken = {u.id for u in second_inputs}
-    available = sorted((u.value, u.id, u) for u in pool if u.id not in taken)
-    if not available:
-        return None
-    values = [entry[0] for entry in available]
-    i2_total = sum(u.value for u in second_inputs)
+    i2_total = sum(u.value for u in second)
     slack = lev.boost * fees.make_change
-    base = total_p + fee1
-    best_r2 = None
-    best = None
-    for t in sizes:
-        fee2 = tx_size(1 + len(second_inputs), t, 0) * fees.gamma
-        for combo in combinations(range(n_cand), t):
-            need = sum(candidates[i].value for i in combo) + fee2 - i2_total
-            lo = base + max(fees.dust, need, 1)
-            hi = base + need + slack
-            if hi < lo:
+    current = sum(u.value for u in first)
+
+    def need(bundle: tuple[PaymentRequest, ...]) -> int:
+        fee2 = tx_size(1 + len(second), len(bundle), 0) * fees.gamma
+        return sum(p.value for p in bundle) + fee2 - i2_total
+
+    best, best_r2, bundles = None, current - base - need(extras), [extras]
+    if len(first) == 1 and sum(comb(n_cand, t) for t in sizes) <= 20_000:
+        bundles = [b for t in sizes for b in combinations(candidates, t)]
+        best_r2 = None
+    for drop in first:
+        # The values of the UTXOs that may take the dropped input's place.
+        free = ascending.copy()
+        for u in first + second:
+            if u is not drop:
+                del free[bisect_left(free, u.value)]
+        rest = current - drop.value
+        for bundle in bundles:
+            r_need = need(bundle)
+            pos = bisect_left(free, base + max(fees.dust, r_need, 1) - rest)
+            if pos == len(free):
                 continue
-            pos = bisect_left(values, lo)
-            if pos >= len(values) or values[pos] > hi:
-                continue
-            r2 = values[pos] - base - need
-            if best_r2 is None or r2 < best_r2:
-                best_r2 = r2
-                best = (
-                    (available[pos][2],),
-                    tuple(candidates[i] for i in combo),
-                )
-    return best
-
-
-def _shrink_first_inputs(
-    pool: UtxoPool,
-    first_inputs: tuple[Utxo, ...],
-    second_inputs: tuple[Utxo, ...],
-    total_p: int,
-    fee1: int,
-    need: int,
-    fees: FeeParams,
-) -> tuple[Utxo, ...]:
-    """Swap first-transaction inputs down to shave its change output.
-
-    The solver minimizes the second transaction's input count but is
-    indifferent between first-input sets, whose surplus becomes the pair's
-    overpayment. Replacing one input with the smallest unused UTXO that
-    keeps the change at or above what the second transaction consumes picks
-    a cheaper solution of the same program; input counts, feasibility, and
-    the dust bound are untouched.
-    """
-    floor = total_p + fee1 + max(fees.dust, need, 1)
-    current = sum(u.value for u in first_inputs)
-    if current <= floor:
-        return first_inputs
-    taken = {u.id for u in first_inputs} | {u.id for u in second_inputs}
-    available = sorted(
-        ((u.value, u.id, u) for u in pool if u.id not in taken)
-    )
-    if not available:
-        return first_inputs
-    values = [entry[0] for entry in available]
-    best = first_inputs
-    best_sum = current
-    for drop_idx, member in enumerate(first_inputs):
-        lo = floor - (current - member.value)
-        pos = bisect_left(values, lo)
-        if pos >= len(values):
-            continue
-        candidate_sum = current - member.value + values[pos]
-        if candidate_sum < best_sum:
-            best_sum = candidate_sum
-            replacement = available[pos][2]
-            best = (
-                first_inputs[:drop_idx] + first_inputs[drop_idx + 1 :] + (replacement,)
-            )
-    return best
+            r2 = rest + free[pos] - base - r_need
+            if (best_r2 is None or r2 < best_r2) and r2 <= slack:
+                best, best_r2 = (drop, bundle, free[pos]), r2
+    if best is None:
+        return first, extras
+    drop, bundle, value = best
+    kept = tuple(u for u in first if u is not drop)
+    taken = {u.id for u in kept + second}
+    n = len(utxos)
+    equal = utxos[n - bisect_right(ascending, value) : n - bisect_left(ascending, value)]
+    swap_in = min((u for u in equal if u.id not in taken), key=attrgetter("id"))
+    return kept + (swap_in,), bundle
 
 
 def attempt_selection(

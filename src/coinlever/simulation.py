@@ -123,9 +123,9 @@ class ScenarioConfig:
             raise ValueError("beta must lie in [0, 1]")
         if self.btc_usd <= 0:
             raise ValueError("btc_usd must be positive")
-        for name in ("extra_min", "extra_max"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1 when set")
+        for name, least in (("extra_min", 1), ("extra_max", 1), ("dust", 0), ("make_change", 0)):
+            if getattr(self, name) is not None and getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least} when set")
         if None not in (self.extra_min, self.extra_max) and self.extra_min > self.extra_max:
             raise ValueError("extra_min must not exceed extra_max")
 

@@ -179,6 +179,40 @@ def brute_leverage(
     return best
 
 
+def brute_pairing(
+    values_desc: list[int],
+    payment_values: list[int],
+    candidate_values: list[int],
+    gamma: int,
+    dust: int,
+    make_change: int,
+    beta: Fraction,
+    min_extra: int,
+    max_extra: int,
+) -> int | None:
+    """Least second-transaction overpayment over pairs with one first input
+    and no second pool input.
+
+    Enumerates every (first input, extra payment set) pair: the first
+    transaction's change must be positive and at least the dust threshold,
+    and the second transaction spends that change alone, overpaying by at
+    most beta * make_change. Returns None when no such pair exists.
+    """
+    total_p = sum(payment_values)
+    fee1 = size_bytes(1, len(payment_values), 1) * gamma
+    best: int | None = None
+    for value in values_desc:
+        change = value - total_p - fee1
+        if change <= 0 or change < dust:
+            continue
+        for t in range(min_extra, max_extra + 1):
+            for extra in combinations(candidate_values, t):
+                r2 = change - sum(extra) - size_bytes(1, t, 0) * gamma
+                if 0 <= r2 <= beta * make_change and (best is None or r2 < best):
+                    best = r2
+    return best
+
+
 def enumerate_blp(
     n_vars: int,
     objective: list[int],

@@ -71,9 +71,12 @@ class TestExitCodes:
             # The unset bound defaults to the batch size, which leaves min > max.
             ("select", ["--mode", "leverage", "--extra-min", "5"]),
             ("run-full", ["--mode", "leverage", "--batch-size", "3", "--extra-max", "1"]),
+            ("simulate", ["--gamma", "200", "--dust", "-5"]),
+            ("simulate", ["--gamma", "200", "--make-change", "-5"]),
         ],
         ids=["negative-price", "zero-price", "extra-min-0", "extra-max-0",
-             "min-above-max", "min-above-default-max", "default-min-above-max"],
+             "min-above-max", "min-above-default-max", "default-min-above-max",
+             "dust-negative", "make-change-negative"],
     )
     def test_usage_error_on_bad_price_or_leverage_bounds(
         self, pools, tmp_path, capsys, command, flags

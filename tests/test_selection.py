@@ -50,6 +50,7 @@ from oracles import (
     brute_knapsack,
     brute_leverage,
     brute_opt,
+    brute_pairing,
     fast_knapsack,
     size_bytes,
 )
@@ -74,6 +75,11 @@ class TestFallback:
     def test_exact_branch(self):
         tx = fallback_select(make_pool([5]), make_payments([5]), FeeParams(gamma=0))
         assert (tx.change, tx.overpayment) == (0, 0)
+
+    def test_failed_goodness_check_raises(self):
+        with mock.patch.object(selection, "is_good", return_value=False):
+            with pytest.raises(RuntimeError):
+                fallback_select(make_pool([5, 3]), make_payments([4]), FeeParams(gamma=0))
 
     def test_no_good_prefix_propagates(self):
         with pytest.raises(NoGoodPrefix):
@@ -446,6 +452,16 @@ class TestLeverage:
         # Exact balance of the second transaction.
         fee2 = tx_size(len(tx2.inputs), len(tx2.payments), 0) * fees.gamma
         assert tx2.input_total == tx2.payment_total + fee2 + tx2.overpayment
+        if len(tx1.inputs) == 1:
+            # No unspent UTXO could fund the same pair more cheaply.
+            need = tx2.payment_total + fee2 - sum(u.value for u in tx2.inputs[1:])
+            fee1 = tx_size(1, len(batch), 1) * fees.gamma
+            floor = sum(p.value for p in batch) + fee1 + max(fees.dust, need, 1)
+            (first,) = tx1.inputs
+            assert not [
+                u for u in pool
+                if u.id not in used1 | used2 and floor <= u.value < first.value
+            ]
 
     @given(seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=80, deadline=None)
@@ -465,6 +481,68 @@ class TestLeverage:
         if pair is None:
             return
         assert pair[1].overpayment == 0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        gamma=st.sampled_from([0, 22, 200]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_single_input_pair_is_the_cheapest(self, seed, gamma):
+        # Few distinct pool values, so equal values compete for the input.
+        rng = random.Random(seed)
+        fees = FeeParams(gamma=gamma)
+        palette = [rng.randint(50_000, 900_000) for _ in range(rng.randint(2, 6))]
+        values = sorted((rng.choice(palette) for _ in range(rng.randint(2, 9))), reverse=True)
+        payments = [rng.randint(1_000, values[0] // 4) for _ in range(rng.randint(1, 2))]
+        # Plant extras that the change of a random pool UTXO nearly funds.
+        change = rng.choice(values) - sum(payments) - size_bytes(1, len(payments), 1) * gamma
+        n_extra = rng.randint(1, 3)
+        funded = change - size_bytes(1, n_extra, 0) * gamma - rng.randint(0, fees.make_change)
+        if funded < n_extra:
+            return
+        cuts = sorted(rng.sample(range(1, funded), n_extra - 1))
+        cands = [b - a for a, b in zip([0, *cuts], [*cuts, funded])]
+        cands += [rng.randint(1, max(1, funded)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(cands)
+        min_extra = rng.randint(1, n_extra)
+        max_extra = rng.randint(n_extra, 4)
+        beta = Fraction(rng.randint(0, 100), 100)
+        args = (gamma, fees.dust, fees.make_change, beta, min_extra, max_extra)
+        if brute_opt(values, payments, gamma, fees.dust) != 1:
+            return
+        if brute_leverage(values, payments, cands, *args) != 0:
+            return
+        pool, batch = make_pool(values), make_payments(payments)
+        lev = LeverageParams(min_extra=min_extra, max_extra=max_extra, boost=beta)
+        pair, _ = leverage_select(
+            pool, batch, make_payments(cands, prefix="c"), fees, lev, GENEROUS
+        )
+        tx1, tx2 = pair
+        assert tx2.overpayment == brute_pairing(values, payments, cands, *args)
+        self.check_pair_invariants(pool, batch, tx1, tx2, fees, lev)
+
+    def test_equal_values_go_to_the_smallest_id(self):
+        fees = FeeParams(gamma=0, dust=0, make_change=0)
+        lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
+        pool = UtxoPool.from_utxos([Utxo("b", 10), Utxo("c", 10), Utxo("a", 10)])
+        (tx1, _), _ = leverage_select(
+            pool, make_payments([7]), make_payments([3], prefix="c"), fees, lev, GENEROUS
+        )
+        assert tx1.inputs == (Utxo("a", 10),)
+
+    def test_single_input_swap_beyond_the_bundle_gate(self):
+        # 52 candidates at bundle size 3 make C(52, 3) = 22,100 bundles, more
+        # than the sweep enumerates, so only the first input is swapped.
+        fees = FeeParams(gamma=1)
+        lev = LeverageParams(min_extra=3, max_extra=3, boost=Fraction(1))
+        batch = make_payments([10_000])
+        candidates = make_payments([1_000 + 37 * i for i in range(52)], prefix="c")
+        base = 10_000 + tx_size(1, 1, 1)
+        pool = make_pool([base + 3_000 + 61 * i for i in range(60)])
+        (tx1, tx2), attempt = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
+        assert attempt.status is SolveStatus.OPTIMAL
+        assert len(tx1.inputs) == 1 and len(tx2.inputs) == 1
+        self.check_pair_invariants(pool, batch, tx1, tx2, fees, lev)
 
 
 class TestAttemptSelection:

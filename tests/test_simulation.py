@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from coinlever.datasets import (
     synthetic_utxo_dataset,
 )
 import coinlever.simulation as simulation
+from coinlever.io import dumps, report_dict
 from coinlever.model import PaymentRequest, Utxo, UtxoPool, dust_threshold
 from coinlever.orchestrator import WorldState
 from coinlever.selection import Method
@@ -340,6 +342,32 @@ class TestSampleDigest:
         config = ScenarioConfig(gamma=22, batch_size=2, repetitions=1, iterations_per_sample=0)
         report = run_scenario(config, Mode.NO_LEVERAGE)
         assert report.repetitions[0].sample_digest == "4ead6370da3625f829c9b8c64f39cb7f"
+
+
+class TestFullScalePins:
+    """One repetition of the protocol's full-scale grid, pinned by the
+    SHA-256 of its JSON report. The wall-clock budget is far above any
+    call, so only the node cap can cut a search and the report is the same
+    on every run. A change that moves a pin must say so and update it."""
+
+    @staticmethod
+    def report_sha256(mode: Mode, batch_sizes) -> str:
+        base = ScenarioConfig(gamma=22, batch_size=2, repetitions=1, budget_ms=60_000)
+        configs = [c for c in default_sweep_configs(base) if c.batch_size in batch_sizes]
+        text = dumps({"reports": [report_dict(run_scenario(c, mode)) for c in configs]})
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_no_leverage_grid(self):
+        assert self.report_sha256(Mode.NO_LEVERAGE, BATCH_SWEEP) == (
+            "da7280d613572ee573b2cb625fb767cdc7a8a37b7210acd5bf36a9b0671eec70"
+        )
+
+    def test_leverage_grid_at_bundle_sizes_2_and_3(self):
+        # With the 64-candidate window, bundle size 2 sweeps every bundle
+        # and bundle size 3 keeps the solver's bundle.
+        assert self.report_sha256(Mode.LEVERAGE, (2, 3)) == (
+            "7442fd74db786dc36327930855f9d7a9265850f9860a3a671cbc388bd3fe5148"
+        )
 
 
 class TestSummarize:
