@@ -3,10 +3,10 @@
 
 At full scale (2500 UTXOs, 250 payments, 10 repetitions of 5 iterations)
 this reproduces the complete experimental protocol. With --budget-ms 60000
-it took 52 s on a 2-core machine with Python 3.11, most of it in leverage
-programs: each knapsack program covers only the few UTXOs that can fund
-the batch (25,164 knapsack nodes in all, against 6.2 million leverage
-nodes). --scale desk runs a reduced version in about 15 s. After the
+it took about 5 s on a 2-core machine with Python 3.11.7: each knapsack
+program covers only the few UTXOs that can fund the batch, and a leverage
+program spans the pool only in the rare calls whose level 0 is infeasible.
+--scale desk runs a reduced version in about 3 s. After the
 summary the script prints how many knapsack and leverage solver calls the
 node cap and the clock stopped, read from each call's ``limit``, and the
 SHA-256 of the JSON detail and of the summary it wrote, so two checkouts'

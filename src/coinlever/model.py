@@ -58,18 +58,20 @@ class FeeParams:
 
     ``dust`` defaults to 182 * gamma; ``make_change`` (the largest overpayment
     tolerated before change must be created) defaults to the dust threshold.
+    Neither may be negative.
     """
 
     gamma: int
-    dust: Amount = -1
-    make_change: Amount = -1
+    dust: Amount | None = None
+    make_change: Amount | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.dust < 0:
+        for name in ("gamma", "dust", "make_change"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.dust is None:
             object.__setattr__(self, "dust", dust_threshold(self.gamma))
-        if self.make_change < 0:
+        if self.make_change is None:
             object.__setattr__(self, "make_change", self.dust)
 
 

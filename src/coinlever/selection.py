@@ -3,14 +3,15 @@
 Each selector funds a fixed batch of payment requests from a sorted UTXO
 pool and returns good transactions. The knapsack and leverage selectors
 build binary programs and hand them to the branch-and-bound solver; each
-returns its transaction(s), or None, together with the solver attempt that
-says why it failed. The fallback selector is a largest-first prefix
+returns its transaction(s), or None, together with the solver attempts that
+say why it failed. The fallback selector is a largest-first prefix
 construction that always succeeds while the pool can cover the batch at
 all. ``attempt_selection`` is the cascade: knapsack, then leverage, then
 the fallback.
 
-The leverage program counts only the second transaction's pool inputs; one
-pass after the solve lowers the overpayment by one-input swaps of the first
+The leverage programs count only the second transaction's pool inputs, level
+by level: none, then exactly one, then at least two, fewest first. One pass
+after the solve lowers the overpayment by one-input swaps of the first
 inputs, over all bundles below a 20,000-bundle gate. A 64-candidate window
 passes bundle size 2 (C(64, 2) = 2,016) but not 3 (C(64, 3) = 41,664).
 """
@@ -26,7 +27,7 @@ from math import comb
 from operator import attrgetter
 from typing import Sequence
 
-from .blp import BlpProblem, Coeff, SolveStatus, solve
+from .blp import BlpProblem, Coeff, SolveOutcome, SolveStatus, solve
 from .model import (
     FeeParams,
     NoGoodPrefix,
@@ -72,6 +73,10 @@ class SolverAttempt:
     nodes: int
     objective: Coeff | None
     limit: str | None
+
+
+def _attempt(method: Method, o: SolveOutcome) -> SolverAttempt:
+    return SolverAttempt(method, o.status, o.nodes_explored, o.objective_value, o.limit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,10 +169,7 @@ def knapsack_select(
         ],
     )
     outcome = solve(problem, budget, max_nodes=max_nodes)
-    attempt = SolverAttempt(
-        Method.KNAPSACK, outcome.status, outcome.nodes_explored, outcome.objective_value,
-        outcome.limit,
-    )
+    attempt = _attempt(Method.KNAPSACK, outcome)
     if not outcome.status.has_assignment:
         return None, attempt
     inputs = tuple(u for u, bit in zip(window, outcome.assignment) if bit)
@@ -188,18 +190,23 @@ def leverage_select(
     *,
     max_nodes: int | None = None,
     change_id: str = "lev-change",
-) -> tuple[tuple[Transaction, Transaction] | None, SolverAttempt | None]:
+) -> tuple[tuple[Transaction, Transaction] | None, tuple[SolverAttempt, ...] | None]:
     """Fund the batch and a bundle of extra payments with a linked pair.
 
     The first transaction spends the optimal input count and emits a change
     output, which the second consumes (as ``change_id``, its first input)
     together with as few further pool inputs as possible, paying between
     ``min_extra`` and ``max_extra`` of the candidate requests change-free.
-    The pair is None when infeasible or out of budget, as the attempt's
-    status says; the attempt is None when no program was built, for want of
-    candidates or of a good largest-first prefix.
+    The pair is None when infeasible or out of budget, as the attempts'
+    statuses say; the attempts are None when no program was built, for want
+    of candidates or of a good largest-first prefix.
 
-    The solver settles the second transaction's input count, and
+    One program, and one attempt, per level of the second transaction's
+    pool-input count, each with the whole budget and node cap. Level 0 has
+    no pool-input variables. Only when it is proved infeasible does level 1
+    add them, with exactly one of them set; then level 2, at least two with
+    their count as the objective. A level stopped by a limit ends the call.
+    The levels settle the second transaction's input count, and
     ``_cheapest_pair`` then lowers the overpayment beside the same second
     inputs by one-input swaps of the first inputs: against every bundle when
     there is one first input and at most 20,000 bundles, else the solver's.
@@ -247,49 +254,65 @@ def leverage_select(
     )
 
     # Variable layout: extra payments first, then first-transaction inputs,
-    # then second-transaction inputs. Only the last block carries objective
-    # weight, and the solver branches by descending |objective| with ties to
-    # the lowest index, so it branches the second-transaction inputs first,
-    # then the extras, then the first-transaction inputs.
+    # then, from level 1 on, second-transaction pool inputs. With no
+    # objective the solver branches by index: the extras, then the
+    # first-transaction inputs.
     n_first = len(viable)
-    y = lambda i: i  # noqa: E731
-    x1 = lambda idx: n_cand + idx  # noqa: E731
-    x2 = lambda j: n_cand + n_first + j  # noqa: E731
-
-    # The second transaction spends the first's change plus the selected
-    # extra inputs; its fee is size(1 + |extra inputs|, |extras|, 0) * gamma,
+    first_sum = {n_cand + idx: utxos[j].value for idx, j in enumerate(viable)}
+    # The second transaction spends the first's change plus its pool
+    # inputs; its fee is size(1 + |pool inputs|, |extras|, 0) * gamma,
     # already expanded into the coefficients below.
-    first_sum = {x1(idx): utxos[j].value for idx, j in enumerate(viable)}
-    row_short = {x2(j): u.value - 148 * g for j, u in enumerate(utxos)}
-    for i in range(n_cand):
-        row_short[y(i)] = -(candidates[i].value + 34 * g)
-    balance = {**first_sum, **row_short}
+    extra_need = {i: -(c.value + 34 * g) for i, c in enumerate(candidates)}
+    balance = {**first_sum, **extra_need}
     balance_rhs = total_p + fee1 + 158 * g
+    slack = lev.boost * fees.make_change
+    every_extra = dict.fromkeys(extra_need, 1)
+    if lev.min_extra == lev.max_extra:
+        bundle = [(every_extra, "=", lev.min_extra)]
+    else:
+        bundle = [(every_extra, ">=", lev.min_extra), (every_extra, "<=", lev.max_extra)]
+    rows: list = [
+        (dict.fromkeys(first_sum, 1), "=", k),
+        *bundle,
+        # The first transaction's change output must exist and clear dust.
+        (first_sum, ">=", total_p + fee1 + max(fees.dust, 1)),
+        (first_sum, "<=", first_cap),
+    ]
+    attempts: list[SolverAttempt] = []
 
-    rows: list = [({x1(idx): 1, x2(j): 1}, "<=", 1) for idx, j in enumerate(viable)]
-    rows.append(({x1(idx): 1 for idx in range(n_first)}, "=", k))
-    rows.append(({y(i): 1 for i in range(n_cand)}, ">=", lev.min_extra))
-    rows.append(({y(i): 1 for i in range(n_cand)}, "<=", lev.max_extra))
-    # The first transaction's change output must exist and clear dust.
-    rows.append((first_sum, ">=", total_p + fee1 + max(fees.dust, 1)))
-    rows.append((first_sum, "<=", first_cap))
-    rows.append((row_short, "<=", 158 * g))
-    rows.append((balance, ">=", balance_rhs))
-    rows.append((balance, "<=", balance_rhs + lev.boost * fees.make_change))
+    def attempt(n_vars: int, objective, level_rows: list, offset: int = 0):
+        problem = BlpProblem(n_vars, objective, level_rows, offset)
+        outcome = solve(problem, budget, max_nodes=max_nodes)
+        attempts.append(_attempt(Method.LEVERAGE, outcome))
+        return outcome
 
-    problem = BlpProblem(n_cand + n_first + n, {x2(j): 1 for j in range(n)}, rows)
-    outcome = solve(problem, budget, max_nodes=max_nodes)
-    attempt = SolverAttempt(
-        Method.LEVERAGE, outcome.status, outcome.nodes_explored, outcome.objective_value,
-        outcome.limit,
-    )
+    # Level 0: no second-transaction pool input, so the first point found
+    # meets the root bound 0 and is optimal.
+    balance_rows = [(balance, ">=", balance_rhs), (balance, "<=", balance_rhs + slack)]
+    outcome = attempt(n_cand + n_first, {}, rows + balance_rows)
+    second_pool_inputs: tuple[Utxo, ...] = ()
+    if outcome.status is SolveStatus.INFEASIBLE:
+        # Level 1 (one pool input), and only when that is infeasible too,
+        # level 2 (at least two, fewest first). A level stopped by a limit
+        # ends the call, since a higher one could only cost more inputs.
+        x2 = n_cand + n_first
+        spent = {x2 + j: u.value - 148 * g for j, u in enumerate(utxos)}
+        balance.update(spent)  # level 0's program holds its own copy
+        rows += [({n_cand + idx: 1, x2 + j: 1}, "<=", 1) for idx, j in enumerate(viable)]
+        rows += [({**spent, **extra_need}, "<=", 158 * g), *balance_rows]
+        count = dict.fromkeys(spent, 1)
+        outcome = attempt(x2 + n, {}, rows + [(count, "=", 1)], 1)
+        if outcome.status is SolveStatus.INFEASIBLE:
+            outcome = attempt(x2 + n, count, rows + [(count, ">=", 2)])
+        if outcome.status.has_assignment:
+            bits = outcome.assignment[x2:]
+            second_pool_inputs = tuple(u for u, bit in zip(utxos, bits) if bit)
     if not outcome.status.has_assignment:
-        return None, attempt
+        return None, tuple(attempts)
 
     bits = outcome.assignment
-    first_inputs = tuple(utxos[j] for idx, j in enumerate(viable) if bits[x1(idx)])
-    second_pool_inputs = tuple(utxos[j] for j in range(n) if bits[x2(j)])
-    extras = tuple(candidates[i] for i in range(n_cand) if bits[y(i)])
+    first_inputs = tuple(utxos[j] for idx, j in enumerate(viable) if bits[n_cand + idx])
+    extras = tuple(c for c, bit in zip(candidates, bits) if bit)
 
     first_inputs, extras = _cheapest_pair(
         utxos, ascending, first_inputs, second_pool_inputs, extras, candidates,
@@ -309,7 +332,7 @@ def leverage_select(
         raise RuntimeError("leverage solution failed the goodness check")
     if overpay2 > lev.boost * fees.make_change:
         raise RuntimeError("leverage overpayment exceeds the boosted threshold")
-    return (tx1, tx2), attempt
+    return (tx1, tx2), tuple(attempts)
 
 
 def _cheapest_pair(
@@ -394,12 +417,11 @@ def attempt_selection(
         return BasicOutcome(Method.KNAPSACK, (tx,), tuple(attempts))
 
     if lev is not None:
-        pair, attempt = leverage_select(
+        pair, lev_attempts = leverage_select(
             pool, batch, candidates, fees, lev, budget,
             max_nodes=max_nodes, change_id=change_id,
         )
-        if attempt is not None:
-            attempts.append(attempt)
+        attempts.extend(lev_attempts or ())
         if pair is not None:
             return BasicOutcome(Method.LEVERAGE, pair, tuple(attempts))
 

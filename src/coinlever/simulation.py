@@ -136,11 +136,7 @@ class ScenarioConfig:
         return DEFAULT_BOOST.get((self.gamma, self.batch_size), Fraction(1))
 
     def fee_params(self) -> FeeParams:
-        return FeeParams(
-            gamma=self.gamma,
-            dust=-1 if self.dust is None else self.dust,
-            make_change=-1 if self.make_change is None else self.make_change,
-        )
+        return FeeParams(gamma=self.gamma, dust=self.dust, make_change=self.make_change)
 
     @property
     def effective_min_payment(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -75,6 +76,46 @@ def cardinality_problem(rng: random.Random, max_vars: int = 12, coefficient=mixe
             rhs = rng.randint(lo, hi)
         rows.append((coeffs, rel, rhs))
     rng.shuffle(rows)
+    return BlpProblem(n, objective, rows), objective, rows
+
+
+def range_problem(rng: random.Random, max_vars: int = 12, coefficient=mixed_coefficient):
+    """Programs with range rows over "=" blocks that are often one one short.
+
+    One or two disjoint all-ones "=" rows with right-hand side 1 or 2 split
+    off blocks. Each range is a ">=" row and a "<=" row with the same
+    coefficients, next to each other in either order; it usually puts a
+    nonzero coefficient on every variable of a block, so that its part
+    spans the block, and sparse mixed ones elsewhere. Its window is narrow,
+    sometimes empty, and has a rational end now and then.
+    """
+    n = rng.randint(2, max_vars)
+    objective = [coefficient(rng) for _ in range(n)]
+    free = list(range(n))
+    rng.shuffle(free)
+    units, blocks = [], []
+    for _ in range(rng.randint(1, 2)):
+        if len(free) < 2:
+            break
+        size = rng.randint(2, min(len(free), 6))
+        block, free = set(free[:size]), free[size:]
+        blocks.append(block)
+        units.append([([int(j in block) for j in range(n)], "=", rng.randint(1, 2))])
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [rng.randint(-15, 15) if rng.random() < 0.5 else 0 for _ in range(n)]
+        for block in blocks:
+            if rng.random() < 0.8:
+                for j in block:
+                    coeffs[j] = rng.choice([-1, 1]) * rng.randint(1, 20)
+        lo = rng.randint(sum(c for c in coeffs if c < 0), sum(c for c in coeffs if c > 0))
+        hi = lo + rng.randint(-1, 6)
+        if rng.random() < 0.25:
+            lo = Fraction(3 * lo - rng.randint(0, 2), 3)
+        pair = [(coeffs, ">=", lo), (coeffs, "<=", hi)]
+        rng.shuffle(pair)
+        units.append(pair)
+    rng.shuffle(units)
+    rows = [row for unit in units for row in unit]
     return BlpProblem(n, objective, rows), objective, rows
 
 
@@ -197,6 +238,24 @@ class TestSolveAgainstEnumeration:
             assert outcome.objective_value == expected[0]
             assert check_feasible(problem, outcome.assignment)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        coefficient=st.sampled_from([mixed_coefficient, signed_coefficient]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_range_rows_over_one_left_blocks(self, seed, coefficient):
+        rng = random.Random(seed)
+        problem, objective, rows = range_problem(rng, coefficient=coefficient)
+        expected = enumerate_blp(problem.n_vars, objective, 0, rows)
+        outcome = solve(problem, GENEROUS)
+        assert outcome.limit is None
+        if expected is None:
+            assert outcome.status is SolveStatus.INFEASIBLE
+        else:
+            assert outcome.status is SolveStatus.OPTIMAL
+            assert outcome.objective_value == expected[0]
+            assert check_feasible(problem, outcome.assignment)
+
     @given(seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=100, deadline=None)
     def test_knapsack_instances(self, seed):
@@ -234,6 +293,40 @@ class TestSolveContracts:
             _, objective, rows = cardinality_problem(rng, coefficient=coefficient)
             total += solve(BlpProblem(len(objective), objective, rows), GENEROUS).nodes_explored
         assert total == 5070
+
+    def test_range_rows_cut_only_empty_subtrees(self):
+        # The one-left test of a range row cuts only subtrees without a
+        # feasible point, so over 400 range programs the search returns the
+        # same points as a search that tests each row on its own (digest and
+        # node total from such a search), in no more nodes.
+        digest = hashlib.sha256()
+        total = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            coefficient = signed_coefficient if seed % 2 else mixed_coefficient
+            problem, _, _ = range_problem(rng, coefficient=coefficient)
+            outcome = solve(problem, GENEROUS)
+            digest.update(repr((outcome.status.value, outcome.assignment)).encode())
+            total += outcome.nodes_explored
+        assert digest.hexdigest() == (
+            "fa0ee5dab675b0ecccf31aa16997c4806e21a9943904ab76a4b36dac00924fb7"
+        )
+        assert total <= 5820  # 5,030 with the one-left test
+
+    @pytest.mark.parametrize("order", [(">=", "<="), ("<=", ">=")])
+    def test_one_left_range_row_dead_at_the_root(self, order):
+        # Exactly one of x0..x2 is 1, and no coefficient 1, 5 or 9 lies in
+        # [3, 4], though the row's attainable range [1, 9] meets it.
+        rhs = {">=": 3, "<=": 4}
+        rows = [([1, 1, 1], "=", 1)] + [([1, 5, 9], rel, rhs[rel]) for rel in order]
+        outcome = solve(BlpProblem(3, [0, 0, 0], rows), GENEROUS)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.nodes_explored == 0
+        # Apart, the two rows leave the search to find that out.
+        rows.insert(2, ([0, 0, 0], "<=", 0))
+        outcome = solve(BlpProblem(3, [0, 0, 0], rows), GENEROUS)
+        assert outcome.status is SolveStatus.INFEASIBLE
+        assert outcome.nodes_explored > 0
 
     @given(seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=100, deadline=None)

@@ -90,6 +90,19 @@ class TestFeeParams:
     def test_make_change_defaults_to_overridden_dust(self):
         assert FeeParams(gamma=22, dust=100).make_change == 100
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(gamma=200, dust=-5, make_change=-7),
+            dict(gamma=200, dust=-5),
+            dict(gamma=200, make_change=-7),
+            dict(gamma=-1),
+        ],
+    )
+    def test_negative_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            FeeParams(**kwargs)
+
 
 class TestTxCost:
     def test_one_in_one_out_with_change(self):

@@ -539,10 +539,68 @@ class TestLeverage:
         candidates = make_payments([1_000 + 37 * i for i in range(52)], prefix="c")
         base = 10_000 + tx_size(1, 1, 1)
         pool = make_pool([base + 3_000 + 61 * i for i in range(60)])
-        (tx1, tx2), attempt = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
+        (tx1, tx2), (attempt,) = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
         assert attempt.status is SolveStatus.OPTIMAL
         assert len(tx1.inputs) == 1 and len(tx2.inputs) == 1
         self.check_pair_invariants(pool, batch, tx1, tx2, fees, lev)
+
+
+class TestLeverageLevels:
+    # At fee rate 0 the batch's 7 leaves the first input's rest as the
+    # bridge, and the extra payment of 8 takes the bridge and the second
+    # transaction's pool inputs exactly.
+    FEES = FeeParams(gamma=0, dust=0, make_change=0)
+
+    @pytest.mark.parametrize(
+        "values, count, statuses",
+        [
+            ([15], 0, ["optimal"]),
+            ([10, 5], 1, ["infeasible", "optimal"]),
+            ([10, 2, 3], 2, ["infeasible", "infeasible", "optimal"]),
+        ],
+    )
+    def test_one_attempt_per_level_up_to_the_least_count(self, values, count, statuses):
+        lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
+        args = (self.FEES.gamma, self.FEES.dust, self.FEES.make_change, lev.boost, 1, 1)
+        assert brute_leverage(values, [7], [8], *args) == count
+        pool = make_pool(values)
+        pair, attempts = leverage_select(
+            pool, make_payments([7]), make_payments([8], prefix="c"), self.FEES, lev, GENEROUS
+        )
+        assert [a.status.value for a in attempts] == statuses
+        assert attempts[-1].objective == count
+        assert all(a.method is Method.LEVERAGE and a.limit is None for a in attempts)
+        tx1, tx2 = pair
+        assert len(tx2.inputs) == 1 + count
+        TestLeverage.check_pair_invariants(pool, make_payments([7]), tx1, tx2, self.FEES, lev)
+
+    # Level 0 needs 12 nodes to prove that no two of the extras take the
+    # bridge of 33 exactly, and level 1 needs more than 100.
+    CAPPED = (
+        make_pool([40]),
+        make_payments([7]),
+        make_payments([5, 6, 7, 8, 9, 10, 12, 22], prefix="c"),
+        FEES,
+        LeverageParams(min_extra=2, max_extra=2, boost=Fraction(1)),
+        GENEROUS,
+    )
+
+    def test_level_stopped_by_the_cap_ends_the_call(self):
+        pair, attempts = leverage_select(*self.CAPPED, max_nodes=5)
+        assert pair is None
+        assert [(a.status, a.nodes, a.limit) for a in attempts] == [
+            (SolveStatus.TIMED_OUT, 5, "nodes")
+        ]
+        pair, attempts = leverage_select(*self.CAPPED, max_nodes=100)
+        assert pair is None
+        assert [(a.status, a.limit) for a in attempts] == [
+            (SolveStatus.INFEASIBLE, None),
+            (SolveStatus.TIMED_OUT, "nodes"),
+        ]
+        # Uncapped, every level is proved infeasible.
+        pair, attempts = leverage_select(*self.CAPPED)
+        assert pair is None
+        assert [a.status for a in attempts] == [SolveStatus.INFEASIBLE] * 3
 
 
 class TestAttemptSelection:
