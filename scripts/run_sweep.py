@@ -3,10 +3,11 @@
 
 At full scale (2500 UTXOs, 250 payments, 10 repetitions of 5 iterations)
 this reproduces the complete experimental protocol. With --budget-ms 60000
-it took about 5 s on a 2-core machine with Python 3.11.7: each knapsack
+it took about 3-4 s on a 2-core machine with Python 3.11.7: each knapsack
 program covers only the few UTXOs that can fund the batch, and a leverage
-program spans the pool only in the rare calls whose level 0 is infeasible.
---scale desk runs a reduced version in about 3 s. After the
+program never spans the pool, only the extras and the first inputs that
+can fund the batch.
+--scale desk runs a reduced version in about 1 s. After the
 summary the script prints how many knapsack and leverage solver calls the
 node cap and the clock stopped, read from each call's ``limit``, and the
 SHA-256 of the JSON detail and of the summary it wrote, so two checkouts'

@@ -39,8 +39,8 @@ test of the improving completion (every unfixed variable at its
 objective-improving value) is kept as that completion's row activities
 plus a per-row violation flag; fixing a variable to its improving value
 leaves both unchanged, so only the other branch updates them. And since no
-point beats the root bound (the offset plus every negative objective
-coefficient), an incumbent that meets it ends the search as OPTIMAL.
+point beats the root bound (the sum of the negative objective
+coefficients), an incumbent that meets it ends the search as OPTIMAL.
 """
 
 from __future__ import annotations
@@ -109,20 +109,18 @@ class BlpProblem:
     relation one of ``"<="``, ``"="``, ``">="``.
     """
 
-    __slots__ = ("n_vars", "objective", "offset", "rows")
+    __slots__ = ("n_vars", "objective", "rows")
 
     def __init__(
         self,
         n_vars: int,
         objective: Sequence[Coeff] | Mapping[int, Coeff],
         rows: Iterable[tuple[Sequence[Coeff] | Mapping[int, Coeff], str, Coeff]],
-        offset: Coeff = 0,
     ) -> None:
         if n_vars < 0:
             raise MalformedProblem("n_vars must be non-negative")
         self.n_vars = n_vars
         self.objective = self._dense(objective, "objective")
-        self.offset = offset
         normalized = []
         for coeffs, relation, rhs in rows:
             if relation not in _REL_CODES:
@@ -453,12 +451,12 @@ def solve(
     if any(row_dead(i, -1) for i in range(n_rows) if tests[i] != _COVERED):
         return finish(SolveStatus.INFEASIBLE, 0)
     if n == 0:
-        best_assignment, best_obj = (), problem.offset
+        best_assignment, best_obj = (), 0
         return finish(SolveStatus.OPTIMAL, 0)
 
     # Lower bound contribution of each unfixed variable is min(0, c), so
     # fixing one against its improving value raises the bound by |c|.
-    root_bound: Coeff = problem.offset + sum(c for c in objective if c < 0)
+    root_bound: Coeff = sum(c for c in objective if c < 0)
     bound = root_bound
     bad = [imp_bad(i) for i in range(n_rows)]
     bad_count = sum(bad)

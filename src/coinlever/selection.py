@@ -3,14 +3,19 @@
 Each selector funds a fixed batch of payment requests from a sorted UTXO
 pool and returns good transactions. The knapsack and leverage selectors
 build binary programs and hand them to the branch-and-bound solver; each
-returns its transaction(s), or None, together with the solver attempts that
-say why it failed. The fallback selector is a largest-first prefix
+returns its transaction(s), or None, together with the solver attempt that
+says why it failed. The fallback selector is a largest-first prefix
 construction that always succeeds while the pool can cover the batch at
 all. ``attempt_selection`` is the cascade: knapsack, then leverage, then
 the fallback.
 
-The leverage programs count only the second transaction's pool inputs, level
-by level: none, then exactly one, then at least two, fewest first. One pass
+The leverage program pairs a first transaction's change output, the
+bridge, with a bundle of extra payments that the second transaction funds
+from the bridge alone. The paper lets the second transaction spend pool
+inputs as well; with the default bundle size such a pair beats its own
+step's fallback per payment only if 148(1 + t) <= 148k + 34 for t second
+and k first inputs, so t <= k - 1, and k is 1 in 492 of the full
+protocol's 498 pairs. One pass
 after the solve lowers the overpayment by one-input swaps of the first
 inputs, over all bundles below a 20,000-bundle gate. A 64-candidate window
 passes bundle size 2 (C(64, 2) = 2,016) but not 3 (C(64, 3) = 41,664).
@@ -35,6 +40,7 @@ from .model import (
     Transaction,
     Utxo,
     UtxoPool,
+    _neg_value,
     is_good,
     opt,
     tx_size,
@@ -154,9 +160,8 @@ def knapsack_select(
     # smallest pool values. Sorted largest first, that range is one slice.
     lowest = target - sum(u.value for u in utxos[: k - 1])
     highest = upper - sum(u.value for u in utxos[n - k + 1 :])
-    neg = lambda u: -u.value  # noqa: E731
-    start = bisect_left(utxos, -highest, key=neg)
-    window = utxos[start : bisect_right(utxos, -lowest, key=neg)]
+    start = bisect_left(utxos, -highest, key=_neg_value)
+    window = utxos[start : bisect_right(utxos, -lowest, key=_neg_value)]
     m = len(window)
     values = [u.value for u in window]
     problem = BlpProblem(
@@ -190,26 +195,21 @@ def leverage_select(
     *,
     max_nodes: int | None = None,
     change_id: str = "lev-change",
-) -> tuple[tuple[Transaction, Transaction] | None, tuple[SolverAttempt, ...] | None]:
+) -> tuple[tuple[Transaction, Transaction] | None, SolverAttempt | None]:
     """Fund the batch and a bundle of extra payments with a linked pair.
 
     The first transaction spends the optimal input count and emits a change
-    output, which the second consumes (as ``change_id``, its first input)
-    together with as few further pool inputs as possible, paying between
-    ``min_extra`` and ``max_extra`` of the candidate requests change-free.
-    The pair is None when infeasible or out of budget, as the attempts'
-    statuses say; the attempts are None when no program was built, for want
-    of candidates or of a good largest-first prefix.
+    output, the bridge, which the second spends alone (as ``change_id``) to
+    pay between ``min_extra`` and ``max_extra`` of the candidate requests
+    change-free. The pair is None when infeasible or out of budget, as the
+    attempt's status says; the attempt is None when no program was built,
+    for want of candidates or of a good largest-first prefix.
 
-    One program, and one attempt, per level of the second transaction's
-    pool-input count, each with the whole budget and node cap. Level 0 has
-    no pool-input variables. Only when it is proved infeasible does level 1
-    add them, with exactly one of them set; then level 2, at least two with
-    their count as the objective. A level stopped by a limit ends the call.
-    The levels settle the second transaction's input count, and
-    ``_cheapest_pair`` then lowers the overpayment beside the same second
-    inputs by one-input swaps of the first inputs: against every bundle when
-    there is one first input and at most 20,000 bundles, else the solver's.
+    One program over the extras and the first inputs, with no objective, so
+    the first point found is optimal. ``_cheapest_pair`` then lowers the
+    overpayment by one-input swaps of the first inputs: against every bundle
+    when there is one first input and at most 20,000 bundles, else the
+    solver's.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -224,18 +224,14 @@ def leverage_select(
         return None, None
 
     utxos = pool.utxos
-    n = len(utxos)
     n_cand = len(candidates)
-    ascending = [u.value for u in reversed(utxos)]
     g = fees.gamma
-    total_p = sum(p.value for p in batch)
-    fee1 = tx_size(k, len(batch), 1) * g
+    base = sum(p.value for p in batch) + tx_size(k, len(batch), 1) * g
 
     # Presolve: the first transaction's change can never exceed the largest
     # need any second transaction could have, so inputs whose value alone
     # overshoots that cap are out of every feasible assignment. Dropping
     # them up front keeps the search over realistic input choices only.
-    small_gap = sum(148 * g - v for v in ascending[: bisect_left(ascending, 148 * g)])
     cand_desc = sorted((c.value for c in candidates), reverse=True)
     top = 0
     best_extras = 0
@@ -243,155 +239,116 @@ def leverage_select(
         top += cand_desc[t - 1]
         if t >= lev.min_extra:
             best_extras = max(best_extras, top + 34 * g * t)
-    change_cap = best_extras + 158 * g + small_gap + lev.boost * fees.make_change
-    first_cap = total_p + fee1 + change_cap
+    slack = lev.boost * fees.make_change
+    first_cap = base + best_extras + 158 * g + slack
     # A change output must exist and clear dust, so with a single first
     # input its value is bounded on both sides. Sorted largest first, the
     # values in [first_floor, first_cap] are one slice of the pool.
-    first_floor = total_p + fee1 + max(fees.dust, 1) if k == 1 else 0
+    first_floor = base + max(fees.dust, 1) if k == 1 else 0
     viable = range(
-        n - bisect_right(ascending, first_cap), n - bisect_left(ascending, first_floor)
+        bisect_left(utxos, -first_cap, key=_neg_value),
+        bisect_right(utxos, -first_floor, key=_neg_value),
     )
 
-    # Variable layout: extra payments first, then first-transaction inputs,
-    # then, from level 1 on, second-transaction pool inputs. With no
-    # objective the solver branches by index: the extras, then the
+    # Variable layout: extra payments first, then first-transaction inputs.
+    # With no objective the solver branches by index: the extras, then the
     # first-transaction inputs.
-    n_first = len(viable)
     first_sum = {n_cand + idx: utxos[j].value for idx, j in enumerate(viable)}
-    # The second transaction spends the first's change plus its pool
-    # inputs; its fee is size(1 + |pool inputs|, |extras|, 0) * gamma,
-    # already expanded into the coefficients below.
-    extra_need = {i: -(c.value + 34 * g) for i, c in enumerate(candidates)}
-    balance = {**first_sum, **extra_need}
-    balance_rhs = total_p + fee1 + 158 * g
-    slack = lev.boost * fees.make_change
-    every_extra = dict.fromkeys(extra_need, 1)
+    # The second transaction's fee, size(1, |extras|, 0) * gamma, is
+    # expanded into the extras' coefficients and the right-hand side.
+    balance = {**first_sum, **{i: -(c.value + 34 * g) for i, c in enumerate(candidates)}}
+    every_extra = dict.fromkeys(range(n_cand), 1)
     if lev.min_extra == lev.max_extra:
         bundle = [(every_extra, "=", lev.min_extra)]
     else:
         bundle = [(every_extra, ">=", lev.min_extra), (every_extra, "<=", lev.max_extra)]
-    rows: list = [
+    rows = [
         (dict.fromkeys(first_sum, 1), "=", k),
         *bundle,
         # The first transaction's change output must exist and clear dust.
-        (first_sum, ">=", total_p + fee1 + max(fees.dust, 1)),
+        (first_sum, ">=", base + max(fees.dust, 1)),
         (first_sum, "<=", first_cap),
+        (balance, ">=", base + 158 * g),
+        (balance, "<=", base + 158 * g + slack),
     ]
-    attempts: list[SolverAttempt] = []
-
-    def attempt(n_vars: int, objective, level_rows: list, offset: int = 0):
-        problem = BlpProblem(n_vars, objective, level_rows, offset)
-        outcome = solve(problem, budget, max_nodes=max_nodes)
-        attempts.append(_attempt(Method.LEVERAGE, outcome))
-        return outcome
-
-    # Level 0: no second-transaction pool input, so the first point found
-    # meets the root bound 0 and is optimal.
-    balance_rows = [(balance, ">=", balance_rhs), (balance, "<=", balance_rhs + slack)]
-    outcome = attempt(n_cand + n_first, {}, rows + balance_rows)
-    second_pool_inputs: tuple[Utxo, ...] = ()
-    if outcome.status is SolveStatus.INFEASIBLE:
-        # Level 1 (one pool input), and only when that is infeasible too,
-        # level 2 (at least two, fewest first). A level stopped by a limit
-        # ends the call, since a higher one could only cost more inputs.
-        x2 = n_cand + n_first
-        spent = {x2 + j: u.value - 148 * g for j, u in enumerate(utxos)}
-        balance.update(spent)  # level 0's program holds its own copy
-        rows += [({n_cand + idx: 1, x2 + j: 1}, "<=", 1) for idx, j in enumerate(viable)]
-        rows += [({**spent, **extra_need}, "<=", 158 * g), *balance_rows]
-        count = dict.fromkeys(spent, 1)
-        outcome = attempt(x2 + n, {}, rows + [(count, "=", 1)], 1)
-        if outcome.status is SolveStatus.INFEASIBLE:
-            outcome = attempt(x2 + n, count, rows + [(count, ">=", 2)])
-        if outcome.status.has_assignment:
-            bits = outcome.assignment[x2:]
-            second_pool_inputs = tuple(u for u, bit in zip(utxos, bits) if bit)
+    outcome = solve(BlpProblem(n_cand + len(viable), {}, rows), budget, max_nodes=max_nodes)
+    attempt = _attempt(Method.LEVERAGE, outcome)
     if not outcome.status.has_assignment:
-        return None, tuple(attempts)
+        return None, attempt
 
     bits = outcome.assignment
     first_inputs = tuple(utxos[j] for idx, j in enumerate(viable) if bits[n_cand + idx])
     extras = tuple(c for c, bit in zip(candidates, bits) if bit)
-
     first_inputs, extras = _cheapest_pair(
-        utxos, ascending, first_inputs, second_pool_inputs, extras, candidates,
-        total_p + fee1, fees, lev,
+        utxos, viable, first_inputs, extras, candidates, base, fees, lev
     )
-    fee2 = tx_size(1 + len(second_pool_inputs), len(extras), 0) * g
-    need = sum(p.value for p in extras) + fee2 - sum(u.value for u in second_pool_inputs)
-    change = sum(u.value for u in first_inputs) - total_p - fee1
-    overpay2 = change - need
+    change = sum(u.value for u in first_inputs) - base
+    overpay2 = change - sum(p.value for p in extras) - tx_size(1, len(extras), 0) * g
 
     tx1 = Transaction(first_inputs, tuple(batch), change=change, overpayment=0)
-    bridge = Utxo(change_id, change)
-    tx2 = Transaction(
-        (bridge,) + second_pool_inputs, extras, change=0, overpayment=overpay2
-    )
+    tx2 = Transaction((Utxo(change_id, change),), extras, change=0, overpayment=overpay2)
     if not (is_good(tx1, fees) and is_good(tx2, fees)):
         raise RuntimeError("leverage solution failed the goodness check")
-    if overpay2 > lev.boost * fees.make_change:
+    if overpay2 > slack:
         raise RuntimeError("leverage overpayment exceeds the boosted threshold")
-    return (tx1, tx2), tuple(attempts)
+    return (tx1, tx2), attempt
 
 
 def _cheapest_pair(
     utxos: tuple[Utxo, ...],
-    ascending: list[int],
+    viable: range,
     first: tuple[Utxo, ...],
-    second: tuple[Utxo, ...],
     extras: tuple[PaymentRequest, ...],
     candidates: Sequence[PaymentRequest],
     base: int,
     fees: FeeParams,
     lev: LeverageParams,
 ) -> tuple[tuple[Utxo, ...], tuple[PaymentRequest, ...]]:
-    """First inputs and bundle of least overpayment beside fixed second inputs.
+    """First inputs and bundle of least overpayment, the bridge spent alone.
 
-    A swap's new input is the smallest UTXO outside the pair whose change
-    funds the bundle and clears dust, ties to the smallest id. Over all
-    bundles, ties go to the earlier bundle; over the solver's bundle alone,
-    the solver's pair stands on a tie. ``base`` is the batch total plus the
-    first fee; ``ascending`` holds the pool's values, smallest first.
+    A swap's new input is the smallest UTXO outside the other first inputs
+    whose change funds the bundle and clears dust, ties to the smallest id.
+    Over all bundles, ties go to the earlier bundle; over the solver's
+    bundle alone, the solver's pair stands on a tie. ``base`` is the batch
+    total plus the first fee. ``viable`` is the slice of ``utxos`` (largest
+    first) below the program's cap on first-input values; a larger swap
+    would overpay beyond the boosted threshold.
     """
     n_cand = len(candidates)
     sizes = range(lev.min_extra, min(lev.max_extra, n_cand) + 1)
-    i2_total = sum(u.value for u in second)
     slack = lev.boost * fees.make_change
     current = sum(u.value for u in first)
 
     def need(bundle: tuple[PaymentRequest, ...]) -> int:
-        fee2 = tx_size(1 + len(second), len(bundle), 0) * fees.gamma
-        return sum(p.value for p in bundle) + fee2 - i2_total
+        return sum(p.value for p in bundle) + tx_size(1, len(bundle), 0) * fees.gamma
 
     best, best_r2, bundles = None, current - base - need(extras), [extras]
     if len(first) == 1 and sum(comb(n_cand, t) for t in sizes) <= 20_000:
         bundles = [b for t in sizes for b in combinations(candidates, t)]
         best_r2 = None
+    lo, hi = viable.start, viable.stop
     for drop in first:
-        # The values of the UTXOs that may take the dropped input's place.
-        free = ascending.copy()
-        for u in first + second:
-            if u is not drop:
-                del free[bisect_left(free, u.value)]
+        kept = [u for u in first if u is not drop]
         rest = current - drop.value
         for bundle in bundles:
             r_need = need(bundle)
-            pos = bisect_left(free, base + max(fees.dust, r_need, 1) - rest)
-            if pos == len(free):
+            floor = base + max(fees.dust, r_need, 1) - rest
+            # The smallest UTXO worth at least the floor, past the kept inputs.
+            i = bisect_right(utxos, -floor, lo, hi, key=_neg_value) - 1
+            while i >= lo and utxos[i] in kept:
+                i -= 1
+            if i < lo:
                 continue
-            r2 = rest + free[pos] - base - r_need
+            r2 = rest + utxos[i].value - base - r_need
             if (best_r2 is None or r2 < best_r2) and r2 <= slack:
-                best, best_r2 = (drop, bundle, free[pos]), r2
+                best, best_r2 = (kept, bundle, utxos[i].value), r2
     if best is None:
         return first, extras
-    drop, bundle, value = best
-    kept = tuple(u for u in first if u is not drop)
-    taken = {u.id for u in kept + second}
-    n = len(utxos)
-    equal = utxos[n - bisect_right(ascending, value) : n - bisect_left(ascending, value)]
-    swap_in = min((u for u in equal if u.id not in taken), key=attrgetter("id"))
-    return kept + (swap_in,), bundle
+    kept, bundle, value = best
+    start = bisect_left(utxos, -value, lo, hi, key=_neg_value)
+    equal = utxos[start : bisect_right(utxos, -value, start, hi, key=_neg_value)]
+    swap_in = min((u for u in equal if u not in kept), key=attrgetter("id"))
+    return (*kept, swap_in), bundle
 
 
 def attempt_selection(
@@ -417,11 +374,12 @@ def attempt_selection(
         return BasicOutcome(Method.KNAPSACK, (tx,), tuple(attempts))
 
     if lev is not None:
-        pair, lev_attempts = leverage_select(
+        pair, attempt = leverage_select(
             pool, batch, candidates, fees, lev, budget,
             max_nodes=max_nodes, change_id=change_id,
         )
-        attempts.extend(lev_attempts or ())
+        if attempt is not None:
+            attempts.append(attempt)
         if pair is not None:
             return BasicOutcome(Method.LEVERAGE, pair, tuple(attempts))
 

@@ -216,12 +216,11 @@ def brute_pairing(
 def enumerate_blp(
     n_vars: int,
     objective: list[int],
-    offset,
     rows: list[tuple[list[int], str, object]],
 ):
     """Exhaustive minimum of a binary program via numpy enumeration.
 
-    Returns (min objective incl. offset, one argmin bit tuple) or None when
+    Returns (min objective, one argmin bit tuple) or None when
     infeasible. Rows are (dense integer coefficients, relation, rhs); a
     Fraction rhs is compared exactly by clearing its denominator.
     """
@@ -248,7 +247,7 @@ def enumerate_blp(
     obj = assigns @ np.array(objective, dtype=np.int64)
     feasible_obj = np.where(ok, obj, np.iinfo(np.int64).max)
     best_idx = int(np.argmin(feasible_obj))
-    return offset + int(obj[best_idx]), tuple(int(b) for b in assigns[best_idx])
+    return int(obj[best_idx]), tuple(int(b) for b in assigns[best_idx])
 
 
 def row_holds(coeffs: list, rel: str, rhs, assignment) -> bool:

@@ -86,7 +86,7 @@ def test_criterion_2_solver_matches_enumeration():
             hi = max(0, sum(c for c in coeffs if c > 0))
             rows.append((coeffs, rel, rng.randint(lo, hi)))
         problem = BlpProblem(n, objective, rows)
-        expected = enumerate_blp(n, objective, 0, rows)
+        expected = enumerate_blp(n, objective, rows)
         outcome = solve(problem, GENEROUS)
         if expected is None:
             assert outcome.status is SolveStatus.INFEASIBLE
@@ -167,7 +167,10 @@ def test_criterion_3_selectors_match_brute_force():
             make_pool(values), make_payments(payments),
             make_payments(cands, prefix="c"), fees, lev, GENEROUS,
         )
-        assert (None if pair is None else len(pair[1].inputs) - 1) == expected
+        # The second transaction spends the bridge alone, so a pair exists
+        # exactly when the least second-transaction pool-input count is 0.
+        assert (pair is not None) == (expected == 0)
+        assert pair is None or len(pair[1].inputs) == 1
         lev_checked += 1
 
     elapsed = time.monotonic() - start

@@ -188,20 +188,14 @@ class TestSolveBasics:
         assert solve(problem, GENEROUS).status is SolveStatus.INFEASIBLE
 
     def test_empty_problem(self):
-        outcome = solve(BlpProblem(0, [], [], offset=7), GENEROUS)
+        outcome = solve(BlpProblem(0, [], []), GENEROUS)
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.assignment == ()
-        assert outcome.objective_value == 7
+        assert outcome.objective_value == 0
 
     def test_constant_infeasible_row(self):
         problem = BlpProblem(0, [], [([], ">=", 1)])
         assert solve(problem, GENEROUS).status is SolveStatus.INFEASIBLE
-
-    def test_offset_carried_into_objective(self):
-        problem = BlpProblem(2, [3, -2], [], offset=10)
-        outcome = solve(problem, GENEROUS)
-        assert outcome.objective_value == 8
-        assert outcome.assignment == (0, 1)
 
     def test_fraction_rhs(self):
         problem = BlpProblem(1, [1], [([1], ">=", Fraction(1, 2))])
@@ -220,15 +214,14 @@ class TestSolveAgainstEnumeration:
         seed=st.integers(min_value=0, max_value=2**32),
         cardinality=st.booleans(),
         coefficient=st.sampled_from([mixed_coefficient, signed_coefficient]),
-        offset=st.integers(min_value=-50, max_value=50),
     )
     @settings(max_examples=800, deadline=None)
-    def test_objective_matches_exhaustive_minimum(self, seed, cardinality, coefficient, offset):
+    def test_objective_matches_exhaustive_minimum(self, seed, cardinality, coefficient):
         rng = random.Random(seed)
         generate = cardinality_problem if cardinality else random_problem
         _, objective, rows = generate(rng, coefficient=coefficient)
-        problem = BlpProblem(len(objective), objective, rows, offset=offset)
-        expected = enumerate_blp(problem.n_vars, objective, offset, rows)
+        problem = BlpProblem(len(objective), objective, rows)
+        expected = enumerate_blp(problem.n_vars, objective, rows)
         outcome = solve(problem, GENEROUS)
         assert outcome.limit is None
         if expected is None:
@@ -246,7 +239,7 @@ class TestSolveAgainstEnumeration:
     def test_range_rows_over_one_left_blocks(self, seed, coefficient):
         rng = random.Random(seed)
         problem, objective, rows = range_problem(rng, coefficient=coefficient)
-        expected = enumerate_blp(problem.n_vars, objective, 0, rows)
+        expected = enumerate_blp(problem.n_vars, objective, rows)
         outcome = solve(problem, GENEROUS)
         assert outcome.limit is None
         if expected is None:
@@ -271,7 +264,7 @@ class TestSolveAgainstEnumeration:
             (values, "<=", target + window),
         ]
         problem = BlpProblem(n, values, rows)
-        expected = enumerate_blp(n, values, 0, rows)
+        expected = enumerate_blp(n, values, rows)
         outcome = solve(problem, GENEROUS)
         if expected is None:
             assert outcome.status is SolveStatus.INFEASIBLE

@@ -430,37 +430,34 @@ class TestLeverage:
         candidates = make_payments(cands, prefix="c")
         lev = LeverageParams(min_extra=min_extra, max_extra=max_extra, boost=beta)
         pair, _ = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
-        if expected is None:
-            assert pair is None
-            return
-        tx1, tx2 = pair
-        assert len(tx2.inputs) - 1 == expected
-        self.check_pair_invariants(pool, batch, tx1, tx2, fees, lev)
+        # The bridge is spent alone: a pair exists exactly when the least
+        # second-transaction pool-input count is 0.
+        assert (pair is not None) == (expected == 0)
+        if pair is not None:
+            self.check_pair_invariants(pool, batch, *pair, fees, lev)
 
     @staticmethod
     def check_pair_invariants(pool, batch, tx1, tx2, fees, lev):
         assert is_good(tx1, fees) and is_good(tx2, fees)
         assert tx1.overpayment == 0 and tx1.change >= fees.dust
         assert tx2.change == 0 and tx2.overpayment <= lev.boost * fees.make_change
-        # The bridge input is the first transaction's change output.
-        assert tx2.inputs[0].value == tx1.change
-        pool_ids = {u.id for u in pool}
+        # The second transaction spends the first's change output alone.
+        (bridge,) = tx2.inputs
+        assert bridge.value == tx1.change
         used1 = {u.id for u in tx1.inputs}
-        used2 = {u.id for u in tx2.inputs[1:]}
-        assert used1 <= pool_ids and used2 <= pool_ids
-        assert not used1 & used2
+        assert used1 <= {u.id for u in pool}
         # Exact balance of the second transaction.
-        fee2 = tx_size(len(tx2.inputs), len(tx2.payments), 0) * fees.gamma
+        fee2 = tx_size(1, len(tx2.payments), 0) * fees.gamma
         assert tx2.input_total == tx2.payment_total + fee2 + tx2.overpayment
         if len(tx1.inputs) == 1:
             # No unspent UTXO could fund the same pair more cheaply.
-            need = tx2.payment_total + fee2 - sum(u.value for u in tx2.inputs[1:])
+            need = tx2.payment_total + fee2
             fee1 = tx_size(1, len(batch), 1) * fees.gamma
             floor = sum(p.value for p in batch) + fee1 + max(fees.dust, need, 1)
             (first,) = tx1.inputs
             assert not [
                 u for u in pool
-                if u.id not in used1 | used2 and floor <= u.value < first.value
+                if u.id not in used1 and floor <= u.value < first.value
             ]
 
     @given(seed=st.integers(min_value=0, max_value=2**32))
@@ -539,43 +536,51 @@ class TestLeverage:
         candidates = make_payments([1_000 + 37 * i for i in range(52)], prefix="c")
         base = 10_000 + tx_size(1, 1, 1)
         pool = make_pool([base + 3_000 + 61 * i for i in range(60)])
-        (tx1, tx2), (attempt,) = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
+        (tx1, tx2), attempt = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
         assert attempt.status is SolveStatus.OPTIMAL
         assert len(tx1.inputs) == 1 and len(tx2.inputs) == 1
         self.check_pair_invariants(pool, batch, tx1, tx2, fees, lev)
 
 
-class TestLeverageLevels:
+class TestBridgeSpentAlone:
     # At fee rate 0 the batch's 7 leaves the first input's rest as the
-    # bridge, and the extra payment of 8 takes the bridge and the second
-    # transaction's pool inputs exactly.
+    # bridge, and the extra payment of 8 takes the bridge exactly.
     FEES = FeeParams(gamma=0, dust=0, make_change=0)
+    LEV = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
+    ARGS = (FEES.gamma, FEES.dust, FEES.make_change, LEV.boost, 1, 1)
 
-    @pytest.mark.parametrize(
-        "values, count, statuses",
-        [
-            ([15], 0, ["optimal"]),
-            ([10, 5], 1, ["infeasible", "optimal"]),
-            ([10, 2, 3], 2, ["infeasible", "infeasible", "optimal"]),
-        ],
-    )
-    def test_one_attempt_per_level_up_to_the_least_count(self, values, count, statuses):
-        lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
-        args = (self.FEES.gamma, self.FEES.dust, self.FEES.make_change, lev.boost, 1, 1)
-        assert brute_leverage(values, [7], [8], *args) == count
-        pool = make_pool(values)
-        pair, attempts = leverage_select(
-            pool, make_payments([7]), make_payments([8], prefix="c"), self.FEES, lev, GENEROUS
+    def test_bridge_alone_funds_the_extra(self):
+        assert brute_leverage([15], [7], [8], *self.ARGS) == 0
+        pool, batch = make_pool([15]), make_payments([7])
+        pair, attempt = leverage_select(
+            pool, batch, make_payments([8], prefix="c"), self.FEES, self.LEV, GENEROUS
         )
-        assert [a.status.value for a in attempts] == statuses
-        assert attempts[-1].objective == count
-        assert all(a.method is Method.LEVERAGE and a.limit is None for a in attempts)
-        tx1, tx2 = pair
-        assert len(tx2.inputs) == 1 + count
-        TestLeverage.check_pair_invariants(pool, make_payments([7]), tx1, tx2, self.FEES, lev)
+        assert (attempt.method, attempt.status, attempt.limit) == (
+            Method.LEVERAGE, SolveStatus.OPTIMAL, None
+        )
+        TestLeverage.check_pair_invariants(pool, batch, *pair, self.FEES, self.LEV)
 
-    # Level 0 needs 12 nodes to prove that no two of the extras take the
-    # bridge of 33 exactly, and level 1 needs more than 100.
+    # The bridge of 3 funds the extra of 8 only beside the pool's 5, or
+    # beside its 2 and 3.
+    @pytest.mark.parametrize("values, count", [([10, 5], 1), ([10, 2, 3], 2)])
+    def test_no_pair_where_the_extra_needs_a_pool_input(self, values, count):
+        assert brute_leverage(values, [7], [8], *self.ARGS) == count
+        pool, batch = make_pool(values), make_payments([7])
+        candidates = make_payments([8], prefix="c")
+        pair, attempt = leverage_select(pool, batch, candidates, self.FEES, self.LEV, GENEROUS)
+        assert pair is None
+        assert (attempt.status, attempt.limit) == (SolveStatus.INFEASIBLE, None)
+        outcome = attempt_selection(
+            pool, batch, self.FEES, GENEROUS, candidates=candidates, lev=self.LEV
+        )
+        assert outcome.method is Method.FALLBACK
+        assert [(a.method, a.status) for a in outcome.attempts] == [
+            (Method.KNAPSACK, SolveStatus.INFEASIBLE),
+            (Method.LEVERAGE, SolveStatus.INFEASIBLE),
+        ]
+
+    # The program needs 12 nodes to prove that no two of the extras take
+    # the bridge of 33 exactly.
     CAPPED = (
         make_pool([40]),
         make_payments([7]),
@@ -585,22 +590,17 @@ class TestLeverageLevels:
         GENEROUS,
     )
 
-    def test_level_stopped_by_the_cap_ends_the_call(self):
-        pair, attempts = leverage_select(*self.CAPPED, max_nodes=5)
+    def test_cap_stop_returns_no_pair(self):
+        pair, attempt = leverage_select(*self.CAPPED, max_nodes=5)
         assert pair is None
-        assert [(a.status, a.nodes, a.limit) for a in attempts] == [
-            (SolveStatus.TIMED_OUT, 5, "nodes")
-        ]
-        pair, attempts = leverage_select(*self.CAPPED, max_nodes=100)
+        assert (attempt.status, attempt.nodes, attempt.limit) == (
+            SolveStatus.TIMED_OUT, 5, "nodes"
+        )
+        pair, attempt = leverage_select(*self.CAPPED)
         assert pair is None
-        assert [(a.status, a.limit) for a in attempts] == [
-            (SolveStatus.INFEASIBLE, None),
-            (SolveStatus.TIMED_OUT, "nodes"),
-        ]
-        # Uncapped, every level is proved infeasible.
-        pair, attempts = leverage_select(*self.CAPPED)
-        assert pair is None
-        assert [a.status for a in attempts] == [SolveStatus.INFEASIBLE] * 3
+        assert (attempt.status, attempt.nodes, attempt.limit) == (
+            SolveStatus.INFEASIBLE, 12, None
+        )
 
 
 class TestAttemptSelection:

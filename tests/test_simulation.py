@@ -370,7 +370,7 @@ class TestFullScalePins:
         # With the 64-candidate window, bundle size 2 sweeps every bundle
         # and larger bundles keep the solver's.
         assert self.report_sha256(Mode.LEVERAGE, BATCH_SWEEP) == (
-            "702221a278c15383f704edd3bee58df7b35fd5673143768e8d840b775bbae676"
+            "f8244aee55f76bb818b6a47d243bc88a3efd6330c1ee6f051614ad6afa68da86"
         )
 
 
