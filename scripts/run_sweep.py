@@ -3,15 +3,16 @@
 
 At full scale (2500 UTXOs, 250 payments, 10 repetitions of 5 iterations)
 this reproduces the complete experimental protocol. With --budget-ms 60000
-it took about 3-4 s on a 2-core machine with Python 3.11.7: each knapsack
+it took 2-4 s on a 2-core machine with Python 3.11.7: each knapsack
 program covers only the few UTXOs that can fund the batch, and a leverage
 program never spans the pool, only the extras and the first inputs that
 can fund the batch.
---scale desk runs a reduced version in about 1 s. After the
+--scale desk runs a reduced version in under 1 s. After the
 summary the script prints how many knapsack and leverage solver calls the
-node cap and the clock stopped, read from each call's ``limit``, and the
-SHA-256 of the JSON detail and of the summary it wrote, so two checkouts'
-sweeps and tables compare in one line each.
+node cap and the clock stopped, read from each call's ``limit``, how many
+cells have negative savings, the total and the largest node count of the
+leverage calls, and the SHA-256 of the JSON detail and of the summary it
+wrote, so two checkouts' sweeps and tables compare in one line each.
 
 ``--record DIR`` also writes a committed record of the sweep to DIR: its
 settings and the JSON detail's SHA-256 (``record.json``), and the markdown
@@ -44,10 +45,12 @@ SCALES = {
 SETTINGS = ("scale", "seed", "budget_ms", "node_budget")
 
 
-def solver_stops(cells) -> tuple[Counter, Counter]:
-    """Solver calls per method, and per (method, limit) those a limit stopped."""
+def solver_tallies(cells) -> tuple[Counter, Counter, list[int]]:
+    """Solver calls per method, per (method, limit) those a limit stopped,
+    and the node count of each leverage call."""
     calls: Counter = Counter()
     stops: Counter = Counter()
+    leverage_nodes: list[int] = []
     for cell in cells:
         for report in (cell.no_leverage, cell.leverage):
             if report is None:
@@ -58,7 +61,9 @@ def solver_stops(cells) -> tuple[Counter, Counter]:
                         calls[attempt.method.value] += 1
                         if attempt.limit is not None:
                             stops[attempt.method.value, attempt.limit] += 1
-    return calls, stops
+                        if attempt.method.value == "leverage":
+                            leverage_nodes.append(attempt.nodes)
+    return calls, stops, leverage_nodes
 
 
 def sweep_configs(args: argparse.Namespace) -> tuple[ScenarioConfig, ...]:
@@ -128,7 +133,7 @@ def main() -> int:
     emit_report(cells, "json", args.out)
     emit_report(cells, "md", args.summary)
     print(summary_markdown([cell_dict(c) for c in cells]))
-    calls, stops = solver_stops(cells)
+    calls, stops, leverage_nodes = solver_tallies(cells)
     for limit, label in (("nodes", "node-cap"), ("clock", "clock")):
         print(
             f"{label} stops: "
@@ -136,6 +141,12 @@ def main() -> int:
                 f"{m} {stops[m, limit]} of {calls[m]} calls" for m in ("knapsack", "leverage")
             )
         )
+    negative = sum(c.savings is not None and c.savings.percent_per_payment < 0 for c in cells)
+    print(f"cells with negative savings: {negative} of {len(cells)}")
+    print(
+        f"leverage nodes: {sum(leverage_nodes)} in all,"
+        f" at most {max(leverage_nodes, default=0)} in one call"
+    )
     print(f"swept {len(cells)} cells in {elapsed:.1f}s; detail in {args.out}")
     for path in (args.out, args.summary):
         print(f"sha256 {hashlib.sha256(Path(path).read_bytes()).hexdigest()}  {path}")

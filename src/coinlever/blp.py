@@ -24,14 +24,8 @@ when its position in the branching order is at most d, so each part keeps
 depth-stamped cursors past its fixed prefix and a bound walks about r
 entries, not the whole prefix. Also at setup, a rational right-hand side on
 a row with integer coefficients is rounded inward (floor for "<=", ceiling
-for ">="). A ">=" row and a "<=" row next to each other with the same
-coefficients (the "<=" row not a block) become one range row [lo, hi],
-tested once. When a part of a range row spans an "=" block with exactly one
-one left, the row is dead unless some unfixed coefficient c of that part
-lies in [lo - (max - top), hi - (min - bottom)], with min/max the row's
-attainable bounds and top/bottom the part's largest and smallest unfixed
-coefficients. These steps only cut subtrees that hold no feasible point, so
-the search meets the same incumbents in the same order, in no more nodes.
+for ">="). Both steps only cut subtrees that hold no feasible point, so the
+search meets the same incumbents in the same order, in no more nodes.
 
 Each node does as little as it can. A child whose bound already reaches the
 incumbent's objective is counted and dropped before it touches a row. The
@@ -47,7 +41,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -59,9 +52,6 @@ Coeff = Union[int, Fraction]
 
 _LE, _EQ, _GE = 0, 1, 2
 _REL_CODES = {"<=": _LE, "=": _EQ, ">=": _GE}
-# Dead-row tests besides the three relations: a range row, and a row whose
-# bounds a range row tests.
-_RANGE, _COVERED = 3, 4
 
 
 class MalformedProblem(ValueError):
@@ -294,32 +284,15 @@ def solve(
     # ``(row, coeff, in the row's free part)`` for each variable.
     cols: list[list[tuple[int, Coeff, bool]]] = [[] for _ in range(n)]
     # The covered parts of each row, one per block it meets, as
-    # ``(block row, top side, bottom side, keys)``. A side is ``[entries,
-    # marks, stamp, sum]``: entries are ``(rank, coeff)`` pairs, best first,
-    # and a variable is fixed at depth d exactly when its rank is at most d.
-    parts: list[list[tuple[int, list, list, list | None]]] = [[] for _ in range(n_rows)]
+    # ``(block row, top side, bottom side)``. A side is ``[entries, marks,
+    # stamp, sum]``: entries are ``(rank, coeff)`` pairs, best first, and a
+    # variable is fixed at depth d exactly when its rank is at most d.
+    parts: list[list[tuple[int, list, list]]] = [[] for _ in range(n_rows)]
     # Bumped whenever a variable of the block is fixed or freed (the spare
     # last slot for a variable in no block): a side's sum, which depends
     # only on its block, holds while its stamp equals the block's count.
     changes = [0] * (n_rows + 1)
-    # A ">=" row and a "<=" row next to each other with the same
-    # coefficients, the "<=" row not a block, are kept as one range row: the
-    # ">=" row holds both bounds, ``rhss`` below and ``uppers`` above, and
-    # the search never looks at the "<=" row.
-    tests = rels.copy()
-    uppers = rhss.copy()
-    for i in range(n_rows - 1):
-        ge, le = (i, i + 1) if rels[i] == _GE else (i + 1, i)
-        if (
-            (rels[ge], rels[le], tests[i]) == (_GE, _LE, rels[i])
-            and rows[i][0] == rows[i + 1][0]
-            and le not in block_of
-        ):
-            tests[ge], tests[le] = _RANGE, _COVERED
-            uppers[ge] = rhss[le]
     for i, (coeffs, _, _) in enumerate(rows):
-        if tests[i] == _COVERED:
-            continue
         covered: dict[int, list[tuple[int, Coeff]]] = {}
         for j, c in coeffs:
             b = block_of[j]
@@ -342,16 +315,12 @@ def solve(
             # only coefficients that move the bound outward count.
             exact = rels[b] == _EQ and len(entries) == len(rows[b][0])
             top = entries if exact else [e for e in entries if e[1] > 0]
-            top = sorted(top, key=itemgetter(1), reverse=True)
             bottom = entries if exact else [e for e in entries if e[1] < 0]
             parts[i].append(
                 (
                     b,
-                    [top, [], -1, 0],
+                    [sorted(top, key=itemgetter(1), reverse=True), [], -1, 0],
                     [sorted(bottom, key=itemgetter(1)), [], -1, 0],
-                    # Negated top coefficients, ascending, for the one-left
-                    # test of a range row; only a part spanning an "=" block.
-                    [-c for _, c in top] if exact and tests[i] == _RANGE else None,
                 )
             )
 
@@ -383,53 +352,35 @@ def solve(
         return total
 
     def row_dead(i: int, depth: int) -> bool:
-        test = tests[i]
-        if test != _GE:
+        rel = rels[i]
+        if rel != _GE:
             lo = acts[i] + neg_rems[i]
-            for b, _, bottom, _ in parts[i]:
+            for b, _, bottom in parts[i]:
                 if bottom[2] != changes[b]:
                     bottom[2] = changes[b]
                     bottom[3] = extreme(bottom[0], bottom[1], rhss[b] - acts[b], depth)
                 lo += bottom[3]
-            if lo > uppers[i]:
+            if lo > rhss[i]:
                 return True
-        if test != _LE:
+        if rel != _LE:
             hi = acts[i] + pos_rems[i]
-            for b, top, _, _ in parts[i]:
+            for b, top, _ in parts[i]:
                 if top[2] != changes[b]:
                     top[2] = changes[b]
                     top[3] = extreme(top[0], top[1], rhss[b] - acts[b], depth)
                 hi += top[3]
             if hi < rhss[i]:
                 return True
-        if test != _RANGE:
-            return False
-        for b, top, bottom, keys in parts[i]:
-            if keys is None or rhss[b] - acts[b] != 1:
-                continue
-            # Exactly one more variable of the part is 1, and the rest of the
-            # row lies in [lo - bottom, hi - top], so its coefficient lies in
-            # [c_low, c_high]. Here top >= c_low and bottom <= c_high.
-            c_low = rhss[i] - hi + top[3]
-            c_high = uppers[i] - lo + bottom[3]
-            if top[3] <= c_high or bottom[3] >= c_low:
-                continue
-            entries = top[0]
-            k = bisect_left(keys, -c_high)
-            while k < len(entries) and entries[k][0] <= depth:
-                k += 1
-            if k == len(entries) or entries[k][1] < c_low:
-                return True
         return False
 
     def imp_bad(i: int) -> bool:
         lhs = imp_acts[i]
-        test = tests[i]
-        if test == _LE:
-            return lhs > uppers[i]
-        if test == _GE:
+        rel = rels[i]
+        if rel == _LE:
+            return lhs > rhss[i]
+        if rel == _GE:
             return lhs < rhss[i]
-        return test != _COVERED and not rhss[i] <= lhs <= uppers[i]
+        return lhs != rhss[i]
 
     def finish(status: SolveStatus, nodes: int, limit: str | None = None) -> SolveOutcome:
         if status.has_assignment:
@@ -448,7 +399,7 @@ def solve(
     best_obj: Coeff | None = None
 
     # Rows can be dead before any branching (constant rows, empty problems).
-    if any(row_dead(i, -1) for i in range(n_rows) if tests[i] != _COVERED):
+    if any(row_dead(i, -1) for i in range(n_rows)):
         return finish(SolveStatus.INFEASIBLE, 0)
     if n == 0:
         best_assignment, best_obj = (), 0

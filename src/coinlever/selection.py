@@ -14,11 +14,13 @@ bridge, with a bundle of extra payments that the second transaction funds
 from the bridge alone. The paper lets the second transaction spend pool
 inputs as well; with the default bundle size such a pair beats its own
 step's fallback per payment only if 148(1 + t) <= 148k + 34 for t second
-and k first inputs, so t <= k - 1, and k is 1 in 492 of the full
-protocol's 498 pairs. One pass
-after the solve lowers the overpayment by one-input swaps of the first
-inputs, over all bundles below a 20,000-bundle gate. A 64-candidate window
-passes bundle size 2 (C(64, 2) = 2,016) but not 3 (C(64, 3) = 41,664).
+and k first inputs, so t <= k - 1, and k is 1 in 500 of the full
+protocol's 506 pairs. The program lists the first inputs smallest first,
+so with one first input its first point spends the smallest one that
+funds any bundle. With one first input and at most 20,000 bundles, one
+pass after the solve takes the bundle of least overpayment. A
+64-candidate window passes bundle size 2 (C(64, 2) = 2,016) but not 3
+(C(64, 3) = 41,664).
 """
 
 from __future__ import annotations
@@ -205,11 +207,12 @@ def leverage_select(
     attempt's status says; the attempt is None when no program was built,
     for want of candidates or of a good largest-first prefix.
 
-    One program over the extras and the first inputs, with no objective, so
-    the first point found is optimal. ``_cheapest_pair`` then lowers the
-    overpayment by one-input swaps of the first inputs: against every bundle
-    when there is one first input and at most 20,000 bundles, else the
-    solver's.
+    One program over the first inputs, smallest first, and the extras,
+    largest first, with no objective, so the first point found is optimal.
+    With one first input that point spends the smallest first input that
+    funds any bundle. When there is one first input and at most 20,000
+    bundles, ``_cheapest_pair`` sweeps every bundle for the least
+    overpayment in its place.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -250,14 +253,21 @@ def leverage_select(
         bisect_right(utxos, -first_floor, key=_neg_value),
     )
 
-    # Variable layout: extra payments first, then first-transaction inputs.
-    # With no objective the solver branches by index: the extras, then the
-    # first-transaction inputs.
-    first_sum = {n_cand + idx: utxos[j].value for idx, j in enumerate(viable)}
+    # Variable layout: the first inputs smallest first, then the extras
+    # largest first, ties in candidate order. With no objective the solver
+    # branches by index and tries 1 first, so with one first input the
+    # first point found spends the smallest first input that funds a bundle.
+    inputs = viable[::-1]
+    n_in = len(inputs)
+    by_value = sorted(range(n_cand), key=lambda i: -candidates[i].value)
+    first_sum = {idx: utxos[j].value for idx, j in enumerate(inputs)}
     # The second transaction's fee, size(1, |extras|, 0) * gamma, is
     # expanded into the extras' coefficients and the right-hand side.
-    balance = {**first_sum, **{i: -(c.value + 34 * g) for i, c in enumerate(candidates)}}
-    every_extra = dict.fromkeys(range(n_cand), 1)
+    balance = {
+        **first_sum,
+        **{n_in + pos: -(candidates[i].value + 34 * g) for pos, i in enumerate(by_value)},
+    }
+    every_extra = dict.fromkeys(range(n_in, n_in + n_cand), 1)
     if lev.min_extra == lev.max_extra:
         bundle = [(every_extra, "=", lev.min_extra)]
     else:
@@ -271,17 +281,20 @@ def leverage_select(
         (balance, ">=", base + 158 * g),
         (balance, "<=", base + 158 * g + slack),
     ]
-    outcome = solve(BlpProblem(n_cand + len(viable), {}, rows), budget, max_nodes=max_nodes)
+    outcome = solve(BlpProblem(n_in + n_cand, {}, rows), budget, max_nodes=max_nodes)
     attempt = _attempt(Method.LEVERAGE, outcome)
     if not outcome.status.has_assignment:
         return None, attempt
 
-    bits = outcome.assignment
-    first_inputs = tuple(utxos[j] for idx, j in enumerate(viable) if bits[n_cand + idx])
-    extras = tuple(c for c, bit in zip(candidates, bits) if bit)
-    first_inputs, extras = _cheapest_pair(
-        utxos, viable, first_inputs, extras, candidates, base, fees, lev
-    )
+    sizes = range(lev.min_extra, min(lev.max_extra, n_cand) + 1)
+    if k == 1 and sum(comb(n_cand, t) for t in sizes) <= 20_000:
+        first_inputs, extras = _cheapest_pair(utxos, viable, candidates, sizes, base, fees, slack)
+    else:
+        # Inputs in pool order, extras in candidate order.
+        bits = outcome.assignment
+        first_inputs = tuple(utxos[j] for idx, j in enumerate(inputs) if bits[idx])[::-1]
+        chosen = sorted(i for pos, i in enumerate(by_value) if bits[n_in + pos])
+        extras = tuple(candidates[i] for i in chosen)
     change = sum(u.value for u in first_inputs) - base
     overpay2 = change - sum(p.value for p in extras) - tx_size(1, len(extras), 0) * g
 
@@ -297,58 +310,38 @@ def leverage_select(
 def _cheapest_pair(
     utxos: tuple[Utxo, ...],
     viable: range,
-    first: tuple[Utxo, ...],
-    extras: tuple[PaymentRequest, ...],
     candidates: Sequence[PaymentRequest],
+    sizes: range,
     base: int,
     fees: FeeParams,
-    lev: LeverageParams,
-) -> tuple[tuple[Utxo, ...], tuple[PaymentRequest, ...]]:
-    """First inputs and bundle of least overpayment, the bridge spent alone.
+    slack: Fraction,
+) -> tuple[tuple[Utxo], tuple[PaymentRequest, ...]]:
+    """Single first input and bundle of least overpayment, the bridge spent
+    alone, over every bundle of the given sizes.
 
-    A swap's new input is the smallest UTXO outside the other first inputs
-    whose change funds the bundle and clears dust, ties to the smallest id.
-    Over all bundles, ties go to the earlier bundle; over the solver's
-    bundle alone, the solver's pair stands on a tie. ``base`` is the batch
-    total plus the first fee. ``viable`` is the slice of ``utxos`` (largest
-    first) below the program's cap on first-input values; a larger swap
-    would overpay beyond the boosted threshold.
+    Each bundle takes the smallest UTXO whose change funds it and clears
+    dust, ties to the smallest id, and ties between bundles go to the
+    earlier one. ``base`` is the batch total plus the first fee. ``viable``
+    is the slice of ``utxos`` (largest first) below the program's cap on
+    first-input values; a larger input would overpay beyond ``slack``.
     """
-    n_cand = len(candidates)
-    sizes = range(lev.min_extra, min(lev.max_extra, n_cand) + 1)
-    slack = lev.boost * fees.make_change
-    current = sum(u.value for u in first)
-
-    def need(bundle: tuple[PaymentRequest, ...]) -> int:
-        return sum(p.value for p in bundle) + tx_size(1, len(bundle), 0) * fees.gamma
-
-    best, best_r2, bundles = None, current - base - need(extras), [extras]
-    if len(first) == 1 and sum(comb(n_cand, t) for t in sizes) <= 20_000:
-        bundles = [b for t in sizes for b in combinations(candidates, t)]
-        best_r2 = None
     lo, hi = viable.start, viable.stop
-    for drop in first:
-        kept = [u for u in first if u is not drop]
-        rest = current - drop.value
-        for bundle in bundles:
-            r_need = need(bundle)
-            floor = base + max(fees.dust, r_need, 1) - rest
-            # The smallest UTXO worth at least the floor, past the kept inputs.
-            i = bisect_right(utxos, -floor, lo, hi, key=_neg_value) - 1
-            while i >= lo and utxos[i] in kept:
-                i -= 1
-            if i < lo:
-                continue
-            r2 = rest + utxos[i].value - base - r_need
-            if (best_r2 is None or r2 < best_r2) and r2 <= slack:
-                best, best_r2 = (kept, bundle, utxos[i].value), r2
-    if best is None:
-        return first, extras
-    kept, bundle, value = best
+    best, best_r2 = None, None
+    for bundle in (b for t in sizes for b in combinations(candidates, t)):
+        r_need = sum(p.value for p in bundle) + tx_size(1, len(bundle), 0) * fees.gamma
+        # The smallest UTXO worth at least the floor.
+        floor = base + max(fees.dust, r_need, 1)
+        i = bisect_right(utxos, -floor, lo, hi, key=_neg_value) - 1
+        if i < lo:
+            continue
+        r2 = utxos[i].value - base - r_need
+        if (best_r2 is None or r2 < best_r2) and r2 <= slack:
+            best, best_r2 = (bundle, utxos[i].value), r2
+    # Called only after the solver found a pair, which qualifies.
+    bundle, value = best
     start = bisect_left(utxos, -value, lo, hi, key=_neg_value)
     equal = utxos[start : bisect_right(utxos, -value, start, hi, key=_neg_value)]
-    swap_in = min((u for u in equal if u not in kept), key=attrgetter("id"))
-    return (*kept, swap_in), bundle
+    return (min(equal, key=attrgetter("id")),), bundle
 
 
 def attempt_selection(

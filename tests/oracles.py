@@ -213,6 +213,41 @@ def brute_pairing(
     return best
 
 
+def brute_smallest_funding_input(
+    values_desc: list[int],
+    payment_values: list[int],
+    candidate_values: list[int],
+    gamma: int,
+    dust: int,
+    make_change: int,
+    beta: Fraction,
+    min_extra: int,
+    max_extra: int,
+) -> int | None:
+    """Least pool value whose change, as the one first input, funds some
+    extra payment set alone.
+
+    The change must be positive and at least the dust threshold, and the
+    second transaction spends it alone on min_extra to max_extra of the
+    candidates, overpaying by at most beta * make_change. Returns None when
+    no pool value qualifies.
+    """
+    total_p = sum(payment_values)
+    fee1 = size_bytes(1, len(payment_values), 1) * gamma
+    needs = [
+        sum(extra) + size_bytes(1, t, 0) * gamma
+        for t in range(min_extra, max_extra + 1)
+        for extra in combinations(candidate_values, t)
+    ]
+    for value in sorted(values_desc):
+        change = value - total_p - fee1
+        if change <= 0 or change < dust:
+            continue
+        if any(0 <= change - need <= beta * make_change for need in needs):
+            return value
+    return None
+
+
 def enumerate_blp(
     n_vars: int,
     objective: list[int],

@@ -51,6 +51,7 @@ from oracles import (
     brute_leverage,
     brute_opt,
     brute_pairing,
+    brute_smallest_funding_input,
     fast_knapsack,
     size_bytes,
 )
@@ -336,7 +337,9 @@ def planted_leverage_instance(rng: random.Random, gamma: int):
     if change <= 0 or change < fees.dust:
         return None
     rest = [i for i in range(n) if i not in first]
-    t = rng.randint(0, min(2, len(rest)))
+    # The selector's second transaction spends the bridge alone, so most
+    # instances plant no second pool input: a pair the selector must find.
+    t = rng.randint(0, min(2, len(rest))) if rng.random() < 0.2 else 0
     second = rng.sample(rest, t)
     n_extra = rng.randint(1, 2)
     fee2 = size_bytes(1 + t, n_extra, 0) * gamma
@@ -527,18 +530,26 @@ class TestLeverage:
         )
         assert tx1.inputs == (Utxo("a", 10),)
 
-    def test_single_input_swap_beyond_the_bundle_gate(self):
+    def test_smallest_funding_input_beyond_the_bundle_gate(self):
         # 52 candidates at bundle size 3 make C(52, 3) = 22,100 bundles, more
-        # than the sweep enumerates, so only the first input is swapped.
+        # than the sweep after the solve enumerates, so the solver's first
+        # point stands. It tries the first inputs smallest first, so it
+        # spends the smallest UTXO whose change funds some bundle.
         fees = FeeParams(gamma=1)
         lev = LeverageParams(min_extra=3, max_extra=3, boost=Fraction(1))
-        batch = make_payments([10_000])
-        candidates = make_payments([1_000 + 37 * i for i in range(52)], prefix="c")
+        payments = [10_000]
+        cands = [1_000 + 37 * i for i in range(52)]
         base = 10_000 + tx_size(1, 1, 1)
-        pool = make_pool([base + 3_000 + 61 * i for i in range(60)])
-        (tx1, tx2), attempt = leverage_select(pool, batch, candidates, fees, lev, GENEROUS)
+        values = [base + 3_000 + 61 * i for i in range(60)]
+        pool, batch = make_pool(values), make_payments(payments)
+        (tx1, tx2), attempt = leverage_select(
+            pool, batch, make_payments(cands, prefix="c"), fees, lev, GENEROUS
+        )
         assert attempt.status is SolveStatus.OPTIMAL
-        assert len(tx1.inputs) == 1 and len(tx2.inputs) == 1
+        (first,) = tx1.inputs
+        assert first.value == brute_smallest_funding_input(
+            values, payments, cands, fees.gamma, fees.dust, fees.make_change, lev.boost, 3, 3
+        )
         self.check_pair_invariants(pool, batch, tx1, tx2, fees, lev)
 
 
@@ -579,8 +590,10 @@ class TestBridgeSpentAlone:
             (Method.LEVERAGE, SolveStatus.INFEASIBLE),
         ]
 
-    # The program needs 12 nodes to prove that no two of the extras take
-    # the bridge of 33 exactly.
+    # The program needs 6 nodes to prove that no two of the extras take
+    # the bridge of 33 exactly. It branches on the extras largest first:
+    # beside 22 only an 11 would do, and without 22 the two largest left
+    # sum to 22.
     CAPPED = (
         make_pool([40]),
         make_payments([7]),
@@ -599,7 +612,7 @@ class TestBridgeSpentAlone:
         pair, attempt = leverage_select(*self.CAPPED)
         assert pair is None
         assert (attempt.status, attempt.nodes, attempt.limit) == (
-            SolveStatus.INFEASIBLE, 12, None
+            SolveStatus.INFEASIBLE, 6, None
         )
 
 

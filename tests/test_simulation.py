@@ -370,7 +370,7 @@ class TestFullScalePins:
         # With the 64-candidate window, bundle size 2 sweeps every bundle
         # and larger bundles keep the solver's.
         assert self.report_sha256(Mode.LEVERAGE, BATCH_SWEEP) == (
-            "f8244aee55f76bb818b6a47d243bc88a3efd6330c1ee6f051614ad6afa68da86"
+            "e5ada7add860ae2b5bc3ca3328f22c57e015db0747e50f464b86e40b203bb97c"
         )
 
 
