@@ -11,8 +11,9 @@ can fund the batch.
 summary the script prints how many knapsack and leverage solver calls the
 node cap and the clock stopped, read from each call's ``limit``, how many
 cells have negative savings, the total and the largest node count of the
-leverage calls, and the SHA-256 of the JSON detail and of the summary it
-wrote, so two checkouts' sweeps and tables compare in one line each.
+knapsack calls and of the leverage calls, and the SHA-256 of the JSON
+detail and of the summary it wrote, so two checkouts' sweeps and tables
+compare in one line each.
 
 ``--record DIR`` also writes a committed record of the sweep to DIR: its
 settings and the JSON detail's SHA-256 (``record.json``), and the markdown
@@ -45,12 +46,12 @@ SCALES = {
 SETTINGS = ("scale", "seed", "budget_ms", "node_budget")
 
 
-def solver_tallies(cells) -> tuple[Counter, Counter, list[int]]:
+def solver_tallies(cells) -> tuple[Counter, Counter, dict[str, list[int]]]:
     """Solver calls per method, per (method, limit) those a limit stopped,
-    and the node count of each leverage call."""
+    and the node count of each call per method."""
     calls: Counter = Counter()
     stops: Counter = Counter()
-    leverage_nodes: list[int] = []
+    nodes: dict[str, list[int]] = {"knapsack": [], "leverage": []}
     for cell in cells:
         for report in (cell.no_leverage, cell.leverage):
             if report is None:
@@ -61,9 +62,8 @@ def solver_tallies(cells) -> tuple[Counter, Counter, list[int]]:
                         calls[attempt.method.value] += 1
                         if attempt.limit is not None:
                             stops[attempt.method.value, attempt.limit] += 1
-                        if attempt.method.value == "leverage":
-                            leverage_nodes.append(attempt.nodes)
-    return calls, stops, leverage_nodes
+                        nodes[attempt.method.value].append(attempt.nodes)
+    return calls, stops, nodes
 
 
 def sweep_configs(args: argparse.Namespace) -> tuple[ScenarioConfig, ...]:
@@ -133,7 +133,7 @@ def main() -> int:
     emit_report(cells, "json", args.out)
     emit_report(cells, "md", args.summary)
     print(summary_markdown([cell_dict(c) for c in cells]))
-    calls, stops, leverage_nodes = solver_tallies(cells)
+    calls, stops, nodes = solver_tallies(cells)
     for limit, label in (("nodes", "node-cap"), ("clock", "clock")):
         print(
             f"{label} stops: "
@@ -143,10 +143,11 @@ def main() -> int:
         )
     negative = sum(c.savings is not None and c.savings.percent_per_payment < 0 for c in cells)
     print(f"cells with negative savings: {negative} of {len(cells)}")
-    print(
-        f"leverage nodes: {sum(leverage_nodes)} in all,"
-        f" at most {max(leverage_nodes, default=0)} in one call"
-    )
+    for method, counts in nodes.items():
+        print(
+            f"{method} nodes: {sum(counts)} in all,"
+            f" at most {max(counts, default=0)} in one call"
+        )
     print(f"swept {len(cells)} cells in {elapsed:.1f}s; detail in {args.out}")
     for path in (args.out, args.summary):
         print(f"sha256 {hashlib.sha256(Path(path).read_bytes()).hexdigest()}  {path}")

@@ -1,7 +1,8 @@
 """Binary linear program solver: depth-first branch and bound.
 
-Minimizes an objective over {0,1}^n subject to <=, =, >= rows, using exact
-integer/rational arithmetic throughout (no tolerances). The search keeps the
+Minimizes an objective over {0,1}^n subject to <=, =, >= rows given as
+dense coefficient sequences, using exact arithmetic throughout (no
+tolerances). The selectors' programs are all-integer. The search keeps the
 best feasible assignment found so far and returns it when the wall-clock
 budget or the optional node cap expires, matching the use case where a quick
 feasible answer beats an exhaustive search.
@@ -22,10 +23,9 @@ counting only coefficients that push the bound outward. Free parts are
 bounded coefficient by coefficient. A variable is fixed at depth d exactly
 when its position in the branching order is at most d, so each part keeps
 depth-stamped cursors past its fixed prefix and a bound walks about r
-entries, not the whole prefix. Also at setup, a rational right-hand side on
-a row with integer coefficients is rounded inward (floor for "<=", ceiling
-for ">="). Both steps only cut subtrees that hold no feasible point, so the
-search meets the same incumbents in the same order, in no more nodes.
+entries, not the whole prefix. These bounds only cut subtrees that hold no
+feasible point, so the search meets the same incumbents in the same order,
+in no more nodes.
 
 Each node does as little as it can. A child whose bound already reaches the
 incumbent's objective is counted and dropped before it touches a row. The
@@ -39,12 +39,11 @@ coefficients), an incumbent that meets it ends the search as OPTIMAL.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -93,10 +92,10 @@ class SolveOutcome:
 class BlpProblem:
     """A minimization over binary variables with linear constraint rows.
 
-    ``objective`` is a dense sequence of length ``n_vars`` or a sparse
-    mapping from variable index to coefficient. Each row is
-    ``(coeffs, relation, rhs)`` with coeffs dense or sparse likewise and
-    relation one of ``"<="``, ``"="``, ``">="``.
+    ``objective`` is a dense sequence of ``n_vars`` coefficients. Each row is
+    ``(coeffs, relation, rhs)`` with coeffs a dense sequence likewise and
+    relation one of ``"<="``, ``"="``, ``">="``. Rows are stored sparse, as
+    ``(index, coeff)`` pairs of their nonzero coefficients.
     """
 
     __slots__ = ("n_vars", "objective", "rows")
@@ -104,8 +103,8 @@ class BlpProblem:
     def __init__(
         self,
         n_vars: int,
-        objective: Sequence[Coeff] | Mapping[int, Coeff],
-        rows: Iterable[tuple[Sequence[Coeff] | Mapping[int, Coeff], str, Coeff]],
+        objective: Sequence[Coeff],
+        rows: Iterable[tuple[Sequence[Coeff], str, Coeff]],
     ) -> None:
         if n_vars < 0:
             raise MalformedProblem("n_vars must be non-negative")
@@ -115,51 +114,20 @@ class BlpProblem:
         for coeffs, relation, rhs in rows:
             if relation not in _REL_CODES:
                 raise MalformedProblem(f"unknown relation {relation!r}")
-            normalized.append((self._sparse(coeffs), relation, rhs))
+            dense = self._dense(coeffs, "row")
+            normalized.append((tuple(compress(enumerate(dense), dense)), relation, rhs))
         self.rows = tuple(normalized)
 
-    def _dense(self, coeffs, what: str) -> tuple[Coeff, ...]:
+    def _dense(self, coeffs: Sequence[Coeff], what: str) -> tuple[Coeff, ...]:
+        # A mapping would read as its keys, so it is refused outright.
         if isinstance(coeffs, Mapping):
-            self._check_indices(coeffs)
-            out = [0] * self.n_vars
-            for j, c in coeffs.items():
-                out[j] = c
-            return tuple(out)
+            raise MalformedProblem(f"{what} must be a dense sequence, not a mapping")
         dense = tuple(coeffs)
         if len(dense) != self.n_vars:
             raise MalformedProblem(
                 f"{what} has {len(dense)} coefficients for {self.n_vars} variables"
             )
         return dense
-
-    def _sparse(self, coeffs) -> tuple[tuple[int, Coeff], ...]:
-        # A pair is kept exactly when its coefficient is nonzero.
-        if isinstance(coeffs, Mapping):
-            self._check_indices(coeffs)
-            return tuple(sorted(compress(coeffs.items(), coeffs.values())))
-        dense = tuple(coeffs)
-        if len(dense) != self.n_vars:
-            raise MalformedProblem(
-                f"row has {len(dense)} coefficients for {self.n_vars} variables"
-            )
-        return tuple(compress(enumerate(dense), dense))
-
-    def _check_indices(self, keys: Mapping) -> None:
-        """Every key is an int in range; checked in bulk, then one by one
-        only to name the first bad key."""
-        if keys and all(map(isinstance, keys, repeat(int))):
-            if 0 <= min(keys) and max(keys) < self.n_vars:
-                return
-        for j in keys:
-            if not isinstance(j, int) or not 0 <= j < self.n_vars:
-                raise MalformedProblem(f"variable index {j!r} out of range")
-
-    def row_dense(self, i: int) -> tuple[Coeff, ...]:
-        """Dense coefficient vector of row ``i`` (for inspection/tests)."""
-        out = [0] * self.n_vars
-        for j, c in self.rows[i][0]:
-            out[j] = c
-        return tuple(out)
 
 
 def check_feasible(problem: BlpProblem, assignment: Sequence[int]) -> bool:
@@ -180,23 +148,6 @@ def check_feasible(problem: BlpProblem, assignment: Sequence[int]) -> bool:
         if relation == ">=" and not lhs >= rhs:
             return False
     return True
-
-
-def _rounded_rhs(coeffs: tuple[tuple[int, Coeff], ...], rel: int, rhs: Coeff) -> Coeff:
-    """The right-hand side with its fraction dropped where integrality allows.
-
-    A row whose coefficients are all integers has an integer left-hand side
-    at every binary point, so a rational bound can be rounded inward.
-    """
-    if not isinstance(rhs, Fraction) or not all(
-        isinstance(c, int) or c.denominator == 1 for _, c in coeffs
-    ):
-        return rhs
-    if rel == _LE:
-        return math.floor(rhs)
-    if rel == _GE:
-        return math.ceil(rhs)
-    return rhs
 
 
 def _is_cardinality(coeffs: tuple[tuple[int, Coeff], ...], rel: int, rhs: Coeff) -> bool:
@@ -225,7 +176,9 @@ def solve(
     expired. FEASIBLE_INCUMBENT means "not proved optimal": an incumbent
     that meets the root bound is returned as OPTIMAL at once. With enough
     budget the result is OPTIMAL or INFEASIBLE and the search is fully
-    deterministic.
+    deterministic. Right-hand sides are compared exactly as given, so a
+    caller with a rational bound on an integer row floors or ceils it
+    itself; a cardinality row serves as a block only with an integer bound.
 
     Branching picks the unfixed variable with the largest absolute objective
     coefficient (ties to the lowest index). A variable with a positive
@@ -251,7 +204,7 @@ def solve(
     n_rows = len(rows)
 
     rels = [_REL_CODES[rel] for _, rel, _ in rows]
-    rhss = [_rounded_rhs(coeffs, code, rhs) for (coeffs, _, rhs), code in zip(rows, rels)]
+    rhss = [rhs for _, _, rhs in rows]
     # Stable, so ties keep the lowest index first.
     order = sorted(range(n), key=[-abs(c) for c in objective].__getitem__)
     rank = [0] * n

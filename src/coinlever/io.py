@@ -208,14 +208,11 @@ def tx_dict(tx: Transaction) -> dict:
 
 
 def attempt_dict(a: SolverAttempt) -> dict:
-    objective = a.objective
-    if isinstance(objective, Fraction):
-        objective = fraction_str(objective)
     return {
         "method": a.method.value,
         "status": a.status.value,
         "nodes": a.nodes,
-        "objective": objective,
+        "objective": a.objective,
         "limit": a.limit,
     }
 

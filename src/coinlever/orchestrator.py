@@ -66,10 +66,8 @@ def _build_record(
 ) -> IterationRecord:
     transactions = outcome.transactions
     processed = tuple(p.id for tx in transactions for p in tx.payments)
-    # A second transaction's first input is the bridge, not a pool UTXO.
-    spent = [u.id for u in transactions[0].inputs]
-    for tx in transactions[1:]:
-        spent.extend(u.id for u in tx.inputs[1:])
+    # A second transaction spends only the bridge, not a pool UTXO.
+    spent = tuple(u.id for u in transactions[0].inputs)
     change_utxo = None
     if outcome.method is Method.FALLBACK and transactions[0].change > 0:
         change_utxo = Utxo(f"change:{iteration}", transactions[0].change)
@@ -80,7 +78,7 @@ def _build_record(
         processed_ids=processed,
         cost=sum(tx_cost(tx, fees) for tx in transactions),
         solver_attempts=outcome.attempts,
-        spent_utxo_ids=tuple(spent),
+        spent_utxo_ids=spent,
         change_utxo=change_utxo,
     )
 

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, floor
 from operator import attrgetter
 from typing import Sequence
 
-from .blp import BlpProblem, Coeff, SolveOutcome, SolveStatus, solve
+from .blp import BlpProblem, SolveOutcome, SolveStatus, solve
 from .model import (
     FeeParams,
     NoGoodPrefix,
@@ -74,12 +74,13 @@ class LeverageParams:
 @dataclass(frozen=True, slots=True)
 class SolverAttempt:
     """Deterministic summary of one solver invocation; ``limit`` is the
-    solver's stop reason (None, ``"nodes"`` or ``"clock"``)."""
+    solver's stop reason (None, ``"nodes"`` or ``"clock"``). The selectors'
+    objectives are integer sums, 0 for leverage."""
 
     method: Method
     status: SolveStatus
     nodes: int
-    objective: Coeff | None
+    objective: int | None
     limit: str | None
 
 
@@ -209,10 +210,12 @@ def leverage_select(
 
     One program over the first inputs, smallest first, and the extras,
     largest first, with no objective, so the first point found is optimal.
-    With one first input that point spends the smallest first input that
-    funds any bundle. When there is one first input and at most 20,000
-    bundles, ``_cheapest_pair`` sweeps every bundle for the least
-    overpayment in its place.
+    Its rows are dense and integer: the overpayment cap ``boost *
+    make_change`` is floored, which admits the same pairs as the rational
+    cap, since overpayments are whole satoshis. With one first input that
+    point spends the smallest first input that funds any bundle. When there
+    is one first input and at most 20,000 bundles, ``_cheapest_pair``
+    sweeps every bundle for the least overpayment in its place.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -233,66 +236,59 @@ def leverage_select(
 
     # Presolve: the first transaction's change can never exceed the largest
     # need any second transaction could have, so inputs whose value alone
-    # overshoots that cap are out of every feasible assignment. Dropping
-    # them up front keeps the search over realistic input choices only.
-    cand_desc = sorted((c.value for c in candidates), reverse=True)
-    top = 0
-    best_extras = 0
-    for t in range(1, min(lev.max_extra, n_cand) + 1):
-        top += cand_desc[t - 1]
-        if t >= lev.min_extra:
-            best_extras = max(best_extras, top + 34 * g * t)
-    slack = lev.boost * fees.make_change
+    # overshoots that cap are out of every feasible assignment. Candidate
+    # values are positive, so the largest allowed bundle is the neediest.
+    t = min(lev.max_extra, n_cand)
+    best_extras = sum(sorted((c.value for c in candidates), reverse=True)[:t]) + 34 * g * t
+    slack = floor(lev.boost * fees.make_change)
     first_cap = base + best_extras + 158 * g + slack
     # A change output must exist and clear dust, so with a single first
     # input its value is bounded on both sides. Sorted largest first, the
     # values in [first_floor, first_cap] are one slice of the pool.
     first_floor = base + max(fees.dust, 1) if k == 1 else 0
-    viable = range(
-        bisect_left(utxos, -first_cap, key=_neg_value),
-        bisect_right(utxos, -first_floor, key=_neg_value),
-    )
+    lo = bisect_left(utxos, -first_cap, key=_neg_value)
+    hi = bisect_right(utxos, -first_floor, key=_neg_value)
 
     # Variable layout: the first inputs smallest first, then the extras
     # largest first, ties in candidate order. With no objective the solver
     # branches by index and tries 1 first, so with one first input the
     # first point found spends the smallest first input that funds a bundle.
-    inputs = viable[::-1]
-    n_in = len(inputs)
+    first = utxos[lo:hi][::-1]
+    values = [u.value for u in first]
+    n_in = len(first)
     by_value = sorted(range(n_cand), key=lambda i: -candidates[i].value)
-    first_sum = {idx: utxos[j].value for idx, j in enumerate(inputs)}
-    # The second transaction's fee, size(1, |extras|, 0) * gamma, is
-    # expanded into the extras' coefficients and the right-hand side.
-    balance = {
-        **first_sum,
-        **{n_in + pos: -(candidates[i].value + 34 * g) for pos, i in enumerate(by_value)},
-    }
-    every_extra = dict.fromkeys(range(n_in, n_in + n_cand), 1)
+    no_extras = [0] * n_cand
+    every_extra = [0] * n_in + [1] * n_cand
     if lev.min_extra == lev.max_extra:
         bundle = [(every_extra, "=", lev.min_extra)]
     else:
         bundle = [(every_extra, ">=", lev.min_extra), (every_extra, "<=", lev.max_extra)]
+    # The second transaction's fee, size(1, |extras|, 0) * gamma, is
+    # expanded into the extras' coefficients and the right-hand side.
+    balance = values + [-(candidates[i].value + 34 * g) for i in by_value]
     rows = [
-        (dict.fromkeys(first_sum, 1), "=", k),
+        ([1] * n_in + no_extras, "=", k),
         *bundle,
         # The first transaction's change output must exist and clear dust.
-        (first_sum, ">=", base + max(fees.dust, 1)),
-        (first_sum, "<=", first_cap),
+        # Its cap, first_cap, needs no row: the balance "<=" row, bounded
+        # over the largest allowed bundle, already implies it.
+        (values + no_extras, ">=", base + max(fees.dust, 1)),
         (balance, ">=", base + 158 * g),
         (balance, "<=", base + 158 * g + slack),
     ]
-    outcome = solve(BlpProblem(n_in + n_cand, {}, rows), budget, max_nodes=max_nodes)
+    n = n_in + n_cand
+    outcome = solve(BlpProblem(n, [0] * n, rows), budget, max_nodes=max_nodes)
     attempt = _attempt(Method.LEVERAGE, outcome)
     if not outcome.status.has_assignment:
         return None, attempt
 
-    sizes = range(lev.min_extra, min(lev.max_extra, n_cand) + 1)
-    if k == 1 and sum(comb(n_cand, t) for t in sizes) <= 20_000:
-        first_inputs, extras = _cheapest_pair(utxos, viable, candidates, sizes, base, fees, slack)
+    sizes = range(lev.min_extra, t + 1)
+    if k == 1 and sum(comb(n_cand, size) for size in sizes) <= 20_000:
+        first_inputs, extras = _cheapest_pair(first, values, candidates, sizes, base, fees, slack)
     else:
         # Inputs in pool order, extras in candidate order.
         bits = outcome.assignment
-        first_inputs = tuple(utxos[j] for idx, j in enumerate(inputs) if bits[idx])[::-1]
+        first_inputs = tuple(u for u, bit in zip(first, bits) if bit)[::-1]
         chosen = sorted(i for pos, i in enumerate(by_value) if bits[n_in + pos])
         extras = tuple(candidates[i] for i in chosen)
     change = sum(u.value for u in first_inputs) - base
@@ -308,39 +304,36 @@ def leverage_select(
 
 
 def _cheapest_pair(
-    utxos: tuple[Utxo, ...],
-    viable: range,
+    first: tuple[Utxo, ...],
+    values: list[int],
     candidates: Sequence[PaymentRequest],
     sizes: range,
     base: int,
     fees: FeeParams,
-    slack: Fraction,
+    slack: int,
 ) -> tuple[tuple[Utxo], tuple[PaymentRequest, ...]]:
     """Single first input and bundle of least overpayment, the bridge spent
     alone, over every bundle of the given sizes.
 
     Each bundle takes the smallest UTXO whose change funds it and clears
     dust, ties to the smallest id, and ties between bundles go to the
-    earlier one. ``base`` is the batch total plus the first fee. ``viable``
-    is the slice of ``utxos`` (largest first) below the program's cap on
-    first-input values; a larger input would overpay beyond ``slack``.
+    earlier one. ``first`` holds the program's first inputs, smallest
+    first, and ``values`` their values; a larger input would overpay beyond
+    ``slack``. ``base`` is the batch total plus the first fee.
     """
-    lo, hi = viable.start, viable.stop
     best, best_r2 = None, None
     for bundle in (b for t in sizes for b in combinations(candidates, t)):
         r_need = sum(p.value for p in bundle) + tx_size(1, len(bundle), 0) * fees.gamma
-        # The smallest UTXO worth at least the floor.
-        floor = base + max(fees.dust, r_need, 1)
-        i = bisect_right(utxos, -floor, lo, hi, key=_neg_value) - 1
-        if i < lo:
+        # The smallest first input worth at least the floor.
+        i = bisect_left(values, base + max(fees.dust, r_need, 1))
+        if i == len(values):
             continue
-        r2 = utxos[i].value - base - r_need
+        r2 = values[i] - base - r_need
         if (best_r2 is None or r2 < best_r2) and r2 <= slack:
-            best, best_r2 = (bundle, utxos[i].value), r2
+            best, best_r2 = (bundle, values[i]), r2
     # Called only after the solver found a pair, which qualifies.
     bundle, value = best
-    start = bisect_left(utxos, -value, lo, hi, key=_neg_value)
-    equal = utxos[start : bisect_right(utxos, -value, start, hi, key=_neg_value)]
+    equal = first[bisect_left(values, value) : bisect_right(values, value)]
     return (min(equal, key=attrgetter("id")),), bundle
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -377,6 +378,33 @@ class TestLeverage:
         assert [p.value for p in tx2.payments] == [3]
         assert (tx2.change, tx2.overpayment) == (0, 0)
 
+    def test_program_has_integer_bounds_and_no_first_input_cap_row(self):
+        # make_change / 3 is fractional; the selector floors the cap itself.
+        # The cap on the first inputs' sum is implied by the balance row, so
+        # no "<=" row is over the first inputs alone.
+        fees = FeeParams(gamma=0, dust=0, make_change=10)
+        lev = LeverageParams(min_extra=1, max_extra=2, boost=Fraction(1, 3))
+        candidates = make_payments([3, 5, 4], prefix="c")
+        built = []
+
+        def spy(*args):
+            built.append(BlpProblem(*args))
+            return built[-1]
+
+        with mock.patch.object(selection, "BlpProblem", spy):
+            pair, attempt = leverage_select(
+                make_pool([10, 20, 13]), make_payments([7]), candidates, fees, lev, GENEROUS
+            )
+        (program,) = built
+        n_in = program.n_vars - len(candidates)
+        assert [type(rhs) for _, _, rhs in program.rows] == [int] * len(program.rows)
+        assert not [
+            coeffs for coeffs, rel, _ in program.rows
+            if rel == "<=" and all(j < n_in for j, _ in coeffs)
+        ]
+        assert attempt.status is SolveStatus.OPTIMAL
+        assert pair[1].overpayment <= 3
+
     def test_too_few_candidates(self):
         fees = FeeParams(gamma=0)
         lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
@@ -656,3 +684,65 @@ class TestAttemptSelection:
 
 def costs_nonnegative(outcome, fees) -> bool:
     return all(tx_cost(tx, fees) >= 0 for tx in outcome.transactions)
+
+
+def random_selection_instance(rng: random.Random):
+    """Pool, batch, candidates, fees, leverage bounds and node cap of one
+    selector call.
+
+    Half the pools hold large values, so the batch takes one input, beside
+    up to 8 candidates (now and then 30-40 of them at bundle sizes 4-5,
+    past the 20,000-bundle sweep); the other half hold small values, so it
+    takes two or more. Fees are sometimes custom, boosts have denominators
+    3, 7 and 100, and the node cap is None, 50 or 5,000.
+    """
+    gamma = rng.choice([0, 1, 22, 200])
+    if rng.random() < 0.3:
+        fees = FeeParams(gamma, dust=rng.randint(0, 40_000), make_change=rng.randint(0, 40_000))
+    else:
+        fees = FeeParams(gamma)
+    if rng.random() < 0.5:
+        values = [rng.randint(20_000, 900_000) for _ in range(rng.randint(1, 30))]
+        payments = [rng.randint(1_000, 200_000) for _ in range(rng.randint(1, 3))]
+        cands = [rng.randint(500, 150_000) for _ in range(rng.randint(0, 8))]
+        if rng.random() < 0.05:
+            cands = [rng.randint(500, 60_000) for _ in range(rng.randint(30, 40))]
+    else:
+        values = [rng.randint(1_000, 60_000) for _ in range(rng.randint(2, 14))]
+        payments = [rng.randint(20_000, 120_000) for _ in range(rng.randint(1, 2))]
+        cands = [rng.randint(500, 40_000) for _ in range(rng.randint(0, 8))]
+    min_extra = rng.randint(1, 3)
+    max_extra = min_extra + rng.choice([0, 0, 1, 2])
+    if len(cands) >= 30:
+        min_extra, max_extra = 4, 5
+    denominator = rng.choice([3, 7, 100])
+    boost = Fraction(rng.randint(0, denominator), denominator)
+    lev = LeverageParams(min_extra=min_extra, max_extra=max_extra, boost=boost)
+    max_nodes = rng.choice([None, 50, 5_000])
+    pool, batch = make_pool(values), make_payments(payments)
+    return pool, batch, make_payments(cands, prefix="c"), fees, lev, max_nodes
+
+
+def test_random_selections_are_pinned():
+    # Every transaction, status, node count and stop reason of 1,000
+    # seeded leverage and knapsack calls. A change to how the programs are
+    # built or solved that is meant to leave the selectors' answers alone
+    # must keep the digest; update it only with a change meant to alter
+    # them.
+    digest = hashlib.sha256()
+    paths: Counter = Counter()
+    for seed in range(1_000):
+        pool, batch, cands, fees, lev, max_nodes = random_selection_instance(random.Random(seed))
+        pair = leverage_select(pool, batch, cands, fees, lev, GENEROUS, max_nodes=max_nodes)
+        knapsack = knapsack_select(pool, batch, fees, GENEROUS, max_nodes=max_nodes)
+        digest.update(repr((pair, knapsack)).encode())
+        if pair[0] is not None:
+            paths["pair", min(len(pair[0][0].inputs), 2)] += 1
+        if pair[1] is not None and pair[1].limit is not None:
+            paths["capped"] += 1
+    # The mix reaches single-input pairs, pairs of two or more first
+    # inputs, and node-capped leverage calls.
+    assert paths["pair", 1] > 50 and paths["pair", 2] > 20 and paths["capped"] > 20
+    assert digest.hexdigest() == (
+        "b7e1c42b801c95227e95a49059f85f36c9a5ca86a8a5427d19a0a350a3a9a030"
+    )
