@@ -10,10 +10,11 @@ can fund the batch.
 --scale desk runs a reduced version in under 1 s. After the
 summary the script prints how many knapsack and leverage solver calls the
 node cap and the clock stopped, read from each call's ``limit``, how many
-cells have negative savings, the total and the largest node count of the
-knapsack calls and of the leverage calls, and the SHA-256 of the JSON
-detail and of the summary it wrote, so two checkouts' sweeps and tables
-compare in one line each.
+of the cells that ran have negative savings, the total and the largest
+node count of the knapsack calls and of the leverage calls, and the
+SHA-256 of the JSON detail and of the summary it wrote, so two checkouts'
+sweeps and tables compare in one line each. It then names each cell that
+failed, with its error, and exits 1 without recording anything.
 
 ``--record DIR`` also writes a committed record of the sweep to DIR: its
 settings and the JSON detail's SHA-256 (``record.json``), and the markdown
@@ -112,7 +113,7 @@ def check(record_dir: Path) -> int:
     return 0
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=sorted(SCALES), default="desk")
     parser.add_argument("--seed", type=int, default=2019)
@@ -122,7 +123,7 @@ def main() -> int:
     parser.add_argument("--summary", default="sweep.md")
     parser.add_argument("--record", type=Path, help="also write a sweep record here")
     parser.add_argument("--check", type=Path, help="rerun and compare with this record")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.check:
         return check(args.check)
 
@@ -141,8 +142,9 @@ def main() -> int:
                 f"{m} {stops[m, limit]} of {calls[m]} calls" for m in ("knapsack", "leverage")
             )
         )
+    failed = [c for c in cells if c.error is not None]
     negative = sum(c.savings is not None and c.savings.percent_per_payment < 0 for c in cells)
-    print(f"cells with negative savings: {negative} of {len(cells)}")
+    print(f"cells with negative savings: {negative} of {len(cells) - len(failed)}")
     for method, counts in nodes.items():
         print(
             f"{method} nodes: {sum(counts)} in all,"
@@ -151,6 +153,11 @@ def main() -> int:
     print(f"swept {len(cells)} cells in {elapsed:.1f}s; detail in {args.out}")
     for path in (args.out, args.summary):
         print(f"sha256 {hashlib.sha256(Path(path).read_bytes()).hexdigest()}  {path}")
+    for cell in failed:
+        print(f"cell gamma={cell.config.gamma} M={cell.config.batch_size} failed: {cell.error}")
+    if failed:
+        print(f"{len(failed)} of {len(cells)} cells failed; nothing recorded")
+        return 1
     if args.record:
         args.record.mkdir(parents=True, exist_ok=True)
         emit_report(cells, "md", args.record / "summary.md")

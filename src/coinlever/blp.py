@@ -354,9 +354,6 @@ def solve(
     # Rows can be dead before any branching (constant rows, empty problems).
     if any(row_dead(i, -1) for i in range(n_rows)):
         return finish(SolveStatus.INFEASIBLE, 0)
-    if n == 0:
-        best_assignment, best_obj = (), 0
-        return finish(SolveStatus.OPTIMAL, 0)
 
     # Lower bound contribution of each unfixed variable is min(0, c), so
     # fixing one against its improving value raises the bound by |c|.
@@ -364,6 +361,8 @@ def solve(
     bound = root_bound
     bad = [imp_bad(i) for i in range(n_rows)]
     bad_count = sum(bad)
+    # The improving completion meets every row. Without variables every row
+    # is constant and holds here, so an empty problem ends at this return.
     if bad_count == 0:
         best_assignment = tuple(imp_value)
         best_obj = bound

@@ -30,6 +30,7 @@ from .simulation import (
     ScenarioConfig,
     default_sweep_configs,
     deterministic,
+    run_cell,
     run_full,
     sweep,
 )
@@ -249,14 +250,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     payment_dataset = (
         report_io.load_payments(args.payments) if args.payments else bundled_payment_dataset()
     )
+    datasets = dict(utxo_dataset=utxo_dataset, payment_dataset=payment_dataset)
     if args.sweep:
-        configs = default_sweep_configs(config)
+        # A sweep records each failed cell in its report and exits 3.
+        cells = sweep(default_sweep_configs(config), **datasets)
     else:
-        # Impossible leverage bounds are a usage error before any mode runs.
+        # Impossible leverage bounds are a usage error before any mode runs,
+        # and a dataset too small for the sample is a data error.
         _leverage_params(config)
-        configs = [config]
-    log.info("running %d cell(s)", len(configs))
-    cells = sweep(configs, utxo_dataset=utxo_dataset, payment_dataset=payment_dataset)
+        cells = [run_cell(config, **datasets)]
+    log.info("ran %d cell(s)", len(cells))
     report_io.emit_report(cells, "json", args.out)
     log.info("wrote %s", args.out)
     if args.summary:

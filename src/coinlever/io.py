@@ -2,7 +2,7 @@
 
 CSV formats (UTF-8, comma separated, header mandatory):
 
-* UTXOs: ``id,value_sat``
+* UTXOs: ``id,value_sat``; no id starts with ``change:`` or ``lev-change:``
 * Payments: ``id,value_sat[,urgency_rank]`` (rank defaults to row order)
 
 JSON reports are fully deterministic: keys are sorted, satoshi amounts are
@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import PaymentRequest, Transaction, Utxo
-from .orchestrator import IterationRecord
+from .orchestrator import CHANGE_ID_PREFIXES, IterationRecord
 from .selection import Method, SolverAttempt
 from .simulation import (
     RepetitionOutcome,
@@ -64,70 +64,60 @@ class IoError(OSError):
 
 
 UTXO_HEADER = ["id", "value_sat"]
-PAYMENT_HEADER = ["id", "value_sat"]
+PAYMENT_HEADER = UTXO_HEADER
 PAYMENT_HEADER_RANKED = ["id", "value_sat", "urgency_rank"]
 
 
-def _read_rows(path: str | Path, expected_headers: list[list[str]]):
+def _read_rows(path: str | Path, headers: list[list[str]]):
+    """Yield ``(line, id, value, rest)`` for each non-empty row of a dataset
+    file whose header is one of ``headers``, after the checks both files
+    share: the header, the field count, a positive value and a new id."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(1, "missing header") from None
-        if header not in expected_headers:
+        if header not in headers:
             raise ParseError(1, f"unexpected header {header!r}")
         rows = [(line, row) for line, row in enumerate(reader, start=2) if row]
-    return header, rows
-
-
-def _parse_value(line: int, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(line, f"bad integer {text!r}") from None
-    if value <= 0:
-        raise NonPositiveValue(f"line {line}: value must be positive, got {value}")
-    return value
+    seen: set[str] = set()
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ParseError(line, f"expected {len(header)} fields, got {len(row)}")
+        uid, text, *rest = row
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError(line, f"bad integer {text!r}") from None
+        if value <= 0:
+            raise NonPositiveValue(f"line {line}: value must be positive, got {value}")
+        if uid in seen:
+            raise DuplicateId(f"line {line}: duplicate id {uid!r}")
+        seen.add(uid)
+        yield line, uid, value, rest
 
 
 def load_utxos(path: str | Path) -> tuple[Utxo, ...]:
     """Parse a UTXO dataset file (``id,value_sat``)."""
-    _, rows = _read_rows(path, [UTXO_HEADER])
-    seen: set[str] = set()
     utxos = []
-    for line, row in rows:
-        if len(row) != 2:
-            raise ParseError(line, f"expected 2 fields, got {len(row)}")
-        uid, value = row[0], _parse_value(line, row[1])
-        if uid in seen:
-            raise DuplicateId(f"line {line}: duplicate id {uid!r}")
-        seen.add(uid)
+    for line, uid, value, _ in _read_rows(path, [UTXO_HEADER]):
+        if uid.startswith(CHANGE_ID_PREFIXES):
+            raise ParseError(line, f"id {uid!r} uses a prefix reserved for change outputs")
         utxos.append(Utxo(uid, value))
     return tuple(utxos)
 
 
 def load_payments(path: str | Path) -> tuple[PaymentRequest, ...]:
     """Parse a payment dataset file (``id,value_sat[,urgency_rank]``)."""
-    header, rows = _read_rows(path, [PAYMENT_HEADER, PAYMENT_HEADER_RANKED])
-    ranked = header == PAYMENT_HEADER_RANKED
-    seen: set[str] = set()
     seen_ranks: set[int] = set()
     payments = []
-    for order, (line, row) in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(line, f"expected {len(header)} fields, got {len(row)}")
-        pid, value = row[0], _parse_value(line, row[1])
-        if pid in seen:
-            raise DuplicateId(f"line {line}: duplicate id {pid!r}")
-        seen.add(pid)
-        if ranked:
-            try:
-                rank = int(row[2])
-            except ValueError:
-                raise ParseError(line, f"bad urgency_rank {row[2]!r}") from None
-        else:
-            rank = order
+    rows = _read_rows(path, [PAYMENT_HEADER, PAYMENT_HEADER_RANKED])
+    for order, (line, pid, value, rest) in enumerate(rows):
+        try:
+            rank = int(rest[0]) if rest else order
+        except ValueError:
+            raise ParseError(line, f"bad urgency_rank {rest[0]!r}") from None
         if rank in seen_ranks:
             raise DuplicateRank(f"line {line}: duplicate urgency_rank {rank}")
         seen_ranks.add(rank)
@@ -135,20 +125,18 @@ def load_payments(path: str | Path) -> tuple[PaymentRequest, ...]:
     return tuple(payments)
 
 
-def write_utxos(path: str | Path, utxos: Iterable[Utxo]) -> None:
+def _write_rows(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(UTXO_HEADER)
-        for u in utxos:
-            writer.writerow([u.id, u.value])
+        csv.writer(handle).writerows([header, *rows])
+
+
+def write_utxos(path: str | Path, utxos: Iterable[Utxo]) -> None:
+    _write_rows(path, UTXO_HEADER, ([u.id, u.value] for u in utxos))
 
 
 def write_payments(path: str | Path, payments: Iterable[PaymentRequest]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PAYMENT_HEADER_RANKED)
-        for p in payments:
-            writer.writerow([p.id, p.value, p.urgency_rank])
+    rows = ([p.id, p.value, p.urgency_rank] for p in payments)
+    _write_rows(path, PAYMENT_HEADER_RANKED, rows)
 
 
 # --- rational formatting -------------------------------------------------
@@ -164,17 +152,12 @@ def fraction_str(value: Fraction) -> str:
         den //= 2
     while den % 5 == 0:
         den //= 5
-    if den == 1:
-        places = 0
-        scaled = value
-        while scaled.denominator != 1:
-            scaled *= 10
-            places += 1
-        digits = abs(scaled.numerator)
-        sign = "-" if value < 0 else ""
-        whole, frac = divmod(digits, 10**places)
-        return f"{sign}{whole}.{frac:0{places}d}"
-    return f"{value.numerator}/{value.denominator}"
+    if den != 1:
+        return f"{value.numerator}/{value.denominator}"
+    places = 1
+    while 10**places % value.denominator:
+        places += 1
+    return fixed_str(value, places)
 
 
 def fixed_str(value: Fraction, places: int) -> str:
@@ -324,20 +307,39 @@ SUMMARY_COLUMNS = [
     "usd_savings_per_payment",
 ]
 
+# The markdown tables: title, the mode whose rows they show (rows with an
+# empty shown cell are left out), and the headers of the columns they show
+# after gamma and M. USD amounts, the columns named "usd", get a "$".
+_RESULT_HEADERS = {
+    "fallback_rate": "fallback rate",
+    "knapsack_rate": "knapsack rate",
+    "leverage_rate": "leverage rate",
+    "payments_processed": "payments processed",
+    "cost_per_payment_usd": "cost per payment (USD)",
+}
+_SAVINGS_HEADERS = {
+    "pct_savings_per_payment": "% savings per payment",
+    "usd_savings_per_payment": "savings per payment (USD)",
+}
+_TABLES = (
+    ("Results without leverage", "no-leverage", _RESULT_HEADERS),
+    ("Results with leverage", "leverage", _RESULT_HEADERS),
+    ("Savings per payment request", "leverage", _SAVINGS_HEADERS),
+)
 
-def _summary_rows(cells: Sequence[dict]) -> list[list[str]]:
+
+def _summary_rows(cells: Sequence[dict]) -> list[dict[str, str]]:
+    """One row per mode per cell, keyed by ``SUMMARY_COLUMNS``."""
     rows = []
     for cell in cells:
         if cell["error"] is not None:
             continue
         config = ScenarioConfig(**cell["config"])
-        beta = fixed_str(config.effective_beta, 2)
-        savings = ["", ""]
+        savings = {"pct_savings_per_payment": "", "usd_savings_per_payment": ""}
+        blank = dict(savings)
         if cell["savings"] is not None:
-            savings = [
-                fixed_str(Fraction(cell["savings"][key]), 6)
-                for key in ("percent_per_payment", "usd_per_payment")
-            ]
+            for column, key in zip(savings, ("percent_per_payment", "usd_per_payment")):
+                savings[column] = fixed_str(Fraction(cell["savings"][key]), 6)
         for mode_name, report in (
             ("no-leverage", cell["no_leverage"]),
             ("leverage", cell["leverage"]),
@@ -345,25 +347,20 @@ def _summary_rows(cells: Sequence[dict]) -> list[list[str]]:
             if report is None:
                 continue
             summary = report["summary"]
-            total = summary["iterations_total"]
+            total = summary["iterations_total"] or 1
+            row = {
+                "gamma": str(config.gamma),
+                "M": str(config.batch_size),
+                "beta": fixed_str(config.effective_beta, 2),
+                "mode": mode_name,
+                "payments_processed": str(summary["payments_processed"]),
+                "cost_per_payment_usd": summary["cost_per_payment_usd"],
+            }
             # Exact rates from the counts; re-rounding the 6-place rate
             # strings could change the fourth digit.
-            rates = [
-                fixed_str(Fraction(summary[f"{name}_count"], total or 1), 4)
-                for name in ("fallback", "knapsack", "leverage")
-            ]
-            rows.append(
-                [
-                    str(config.gamma),
-                    str(config.batch_size),
-                    beta,
-                    mode_name,
-                    *rates,
-                    str(summary["payments_processed"]),
-                    summary["cost_per_payment_usd"],
-                    *(savings if mode_name == "leverage" else ["", ""]),
-                ]
-            )
+            for m in ("fallback", "knapsack", "leverage"):
+                row[f"{m}_rate"] = fixed_str(Fraction(summary[f"{m}_count"], total), 4)
+            rows.append(row | (savings if mode_name == "leverage" else blank))
     return rows
 
 
@@ -371,57 +368,25 @@ def summary_csv(cells: Sequence[dict]) -> str:
     """CSV summary of JSON report cells, one row per mode per cell."""
     lines = [",".join(SUMMARY_COLUMNS)]
     for row in _summary_rows(cells):
-        lines.append(",".join(row))
+        lines.append(",".join(row[column] for column in SUMMARY_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def summary_markdown(cells: Sequence[dict]) -> str:
     """Markdown result and savings tables of JSON report cells."""
-
-    def table(headers: list[str], rows: list[list[str]]) -> list[str]:
-        out = ["| " + " | ".join(headers) + " |"]
-        out.append("|" + "|".join(" --- " for _ in headers) + "|")
-        for row in rows:
-            out.append("| " + " | ".join(row) + " |")
-        return out
-
-    result_headers = [
-        "gamma",
-        "M",
-        "fallback rate",
-        "knapsack rate",
-        "leverage rate",
-        "payments processed",
-        "cost per payment (USD)",
-    ]
+    rows = _summary_rows(cells)
     lines: list[str] = []
-    for title, mode_name in (
-        ("Results without leverage", "no-leverage"),
-        ("Results with leverage", "leverage"),
-    ):
-        rows = [
-            [r[0], r[1], r[4], r[5], r[6], r[7], "$" + r[8]]
-            for r in _summary_rows(cells)
-            if r[3] == mode_name
-        ]
+    for title, mode_name, shown in _TABLES:
+        headers = {"gamma": "gamma", "M": "M", **shown}
         lines.append(f"### {title}")
         lines.append("")
-        lines.extend(table(result_headers, rows))
+        lines.append("| " + " | ".join(headers.values()) + " |")
+        lines.append("|" + "|".join(" --- " for _ in headers) + "|")
+        for row in rows:
+            if row["mode"] == mode_name and all(row[c] for c in headers):
+                texts = [("$" if "usd" in c else "") + row[c] for c in headers]
+                lines.append("| " + " | ".join(texts) + " |")
         lines.append("")
-    savings_rows = [
-        [r[0], r[1], r[9], "$" + r[10]]
-        for r in _summary_rows(cells)
-        if r[3] == "leverage" and r[9] != ""
-    ]
-    lines.append("### Savings per payment request")
-    lines.append("")
-    lines.extend(
-        table(
-            ["gamma", "M", "% savings per payment", "savings per payment (USD)"],
-            savings_rows,
-        )
-    )
-    lines.append("")
     return "\n".join(lines)
 
 

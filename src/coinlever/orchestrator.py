@@ -28,6 +28,9 @@ from .selection import (
 )
 
 DEFAULT_CANDIDATE_WINDOW = 64
+# ``step`` names the change outputs it adds to the pool ``change:N`` and
+# ``lev-change:N`` at iteration N, so no dataset UTXO id may use these.
+CHANGE_ID_PREFIXES = ("change:", "lev-change:")
 
 
 class UnknownUtxo(KeyError):

@@ -330,8 +330,10 @@ def run_scenario(
     Each repetition samples a fresh pool and payment backlog from seeds
     derived only from (rng_seed, repetition index), then runs ``run_full``
     for at most ``iterations_per_sample`` iterations. Repetitions that
-    exhaust the pool or cannot be sampled are recorded as failed and left
-    out of the aggregate tallies.
+    exhaust the pool are recorded as failed and left out of the aggregate
+    tallies. A dataset too small for the sample raises DatasetTooSmall at
+    the first draw: that depends on the config and the dataset alone, so
+    every repetition would fail alike.
     """
     utxos = bundled_utxo_dataset() if utxo_dataset is None else utxo_dataset
     payments = bundled_payment_dataset() if payment_dataset is None else payment_dataset
@@ -341,16 +343,10 @@ def run_scenario(
     for rep in range(config.repetitions):
         utxo_rng = random.Random(derive_seed(config.rng_seed, rep, "utxo"))
         pay_rng = random.Random(derive_seed(config.rng_seed, rep, "pay"))
-        try:
-            pool = sample_utxo_pool(utxos, config.utxo_pool_size, utxo_rng)
-            batch = sample_payments(
-                payments, config.payment_pool_size, config.effective_min_payment, pay_rng
-            )
-        except DatasetTooSmall as exc:
-            outcomes.append(
-                RepetitionOutcome(rep, False, f"sampling: {exc}", "", ())
-            )
-            continue
+        pool = sample_utxo_pool(utxos, config.utxo_pool_size, utxo_rng)
+        batch = sample_payments(
+            payments, config.payment_pool_size, config.effective_min_payment, pay_rng
+        )
         records, _, failure = run_full(
             WorldState.initial(pool, batch),
             config.batch_size,

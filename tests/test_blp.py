@@ -183,10 +183,13 @@ class TestSolveBasics:
         assert solve(problem, GENEROUS).status is SolveStatus.INFEASIBLE
 
     def test_empty_problem(self):
-        outcome = solve(BlpProblem(0, [], []), GENEROUS)
-        assert outcome.status is SolveStatus.OPTIMAL
-        assert outcome.assignment == ()
-        assert outcome.objective_value == 0
+        # Constant rows that hold leave the empty problem optimal.
+        for rows in ([], [([], "<=", 3), ([], "=", 0)]):
+            outcome = solve(BlpProblem(0, [], rows), GENEROUS)
+            assert outcome.status is SolveStatus.OPTIMAL
+            assert outcome.assignment == ()
+            assert outcome.objective_value == 0
+            assert outcome.nodes_explored == 0
 
     def test_constant_infeasible_row(self):
         problem = BlpProblem(0, [], [([], ">=", 1)])

@@ -44,6 +44,19 @@ class TestExitCodes:
         good.write_text("id,value_sat\na,5\n")
         assert main(["select", "--utxos", str(bad), "--payments", str(good)]) == 2
 
+    def test_data_error_on_a_generated_change_id(self, tmp_path, capsys):
+        # The fallback's change output of iteration 2 is named change:2.
+        utxos = tmp_path / "u.csv"
+        utxos.write_text("id,value_sat\nbig,5000000\nchange:2,250\n")
+        payments = tmp_path / "p.csv"
+        write_payments(payments, [PaymentRequest(f"p{i}", 100_000, i) for i in range(3)])
+        code = main(
+            ["run-full", "--utxos", str(utxos), "--payments", str(payments),
+             "--gamma", "10", "--batch-size", "1", *FAST]
+        )
+        assert code == 2
+        assert "line 3: id 'change:2'" in capsys.readouterr().err
+
     def test_usage_error_on_bad_config_value(self, pools, capsys):
         utxos, payments = pools
         code = main(
@@ -205,6 +218,29 @@ class TestSimulate:
         assert len(cells) == 1
         assert cells[0]["config"]["rng_seed"] == 9
         assert summary.read_text().startswith("gamma,M,beta,mode")
+
+    def test_dataset_too_small_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(
+            ["simulate", "--utxo-pool-size", "20000", "--repetitions", "2",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "data error: need 20000 UTXOs, dataset has 10000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_too_small_fails_each_sweep_cell(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(
+            ["simulate", "--sweep", "--utxo-pool-size", "20000", "--repetitions", "1",
+             "--out", str(out)]
+        )
+        assert code == 3
+        cells = json.loads(out.read_text())["cells"]
+        assert len(cells) == 20
+        assert all(c["error"] == "DatasetTooSmall: need 20000 UTXOs, dataset has 10000"
+                   for c in cells)
+        assert capsys.readouterr().err.count("failed: DatasetTooSmall") == 20
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "config.json"

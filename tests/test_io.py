@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinlever.datasets import synthetic_payment_dataset, synthetic_utxo_dataset
 from coinlever.io import (
@@ -25,6 +27,7 @@ from coinlever.io import (
     write_payments,
     write_utxos,
 )
+from coinlever.model import PaymentRequest, Utxo
 from coinlever.selection import Method
 from coinlever.simulation import ScenarioConfig, run_cell
 
@@ -108,6 +111,45 @@ class TestCsvLoaders:
         with pytest.raises(ParseError):
             load_utxos(path)
 
+    @pytest.mark.parametrize("uid", ["change:1", "lev-change:7", "change:"])
+    def test_generated_change_ids_rejected(self, tmp_path, uid):
+        path = tmp_path / "u.csv"
+        path.write_text(f"id,value_sat\na,10\n{uid},11\n")
+        with pytest.raises(ParseError) as exc:
+            load_utxos(path)
+        assert exc.value.line == 3
+        # Payment ids live in their own namespace.
+        assert load_payments(path)[1].id == uid
+
+
+# Ids with the characters CSV must quote, and the empty id.
+IDS = st.text(alphabet=',"\n\rab ', max_size=4)
+VALUES = st.integers(min_value=1, max_value=10**15)
+
+
+class TestCsvRoundTrips:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(IDS, VALUES), max_size=6, unique_by=lambda r: r[0]))
+    def test_utxos(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "u.csv"
+        utxos = tuple(Utxo(uid, value) for uid, value in rows)
+        write_utxos(path, utxos)
+        assert load_utxos(path) == utxos
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(IDS, VALUES, st.integers(-1000, 1000)),
+            max_size=6,
+            unique_by=(lambda r: r[0], lambda r: r[2]),
+        )
+    )
+    def test_payments(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        payments = tuple(PaymentRequest(*row) for row in rows)
+        write_payments(path, payments)
+        assert load_payments(path) == payments
+
 
 class TestFormatting:
     def test_fraction_str_integer(self):
@@ -120,6 +162,27 @@ class TestFormatting:
     def test_fraction_str_nonterminating(self):
         assert fraction_str(Fraction(1, 3)) == "1/3"
         assert Fraction(fraction_str(Fraction(22, 7))) == Fraction(22, 7)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(-(10**12), 10**12),
+        st.integers(0, 15),
+        st.integers(0, 15),
+        st.sampled_from([1, 1, 3, 7, 9, 12_347]),
+    )
+    def test_fraction_str_is_exact(self, num, twos, fives, other):
+        value = Fraction(num, 2**twos * 5**fives * other)
+        text = fraction_str(value)
+        assert Fraction(text) == value
+        den = value.denominator
+        # A denominator with no prime factor but 2 and 5 divides a power of
+        # ten no larger than 10 ** its bit length.
+        if 10 ** den.bit_length() % den:
+            assert text == f"{value.numerator}/{den}"
+        elif den == 1:
+            assert text == str(value.numerator)
+        else:
+            assert "/" not in text and not text.endswith("0")
 
     def test_fixed_str(self):
         assert fixed_str(Fraction("0.2448901"), 6) == "0.244890"

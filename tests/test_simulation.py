@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import random
 import subprocess
@@ -387,6 +388,40 @@ class TestFullProtocolRecord:
         assert done.stdout.splitlines()[-1] == "all outputs match results/full"
 
 
+class TestSweepScript:
+    def test_failed_cell_is_reported_and_nothing_recorded(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "run_sweep", root / "scripts" / "run_sweep.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        real_run_cell = simulation.run_cell
+
+        def run_cell_failing_60_3(config, **kwargs):
+            if (config.gamma, config.batch_size) == (60, 3):
+                raise RuntimeError("made to fail")
+            return real_run_cell(config, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_cell", run_cell_failing_60_3)
+        record = tmp_path / "record"
+        code = script.main(
+            ["--out", str(tmp_path / "sweep.json"), "--summary", str(tmp_path / "sweep.md"),
+             "--record", str(record)]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "cell gamma=60 M=3 failed: RuntimeError: made to fail" in out
+        # The failed cell is not counted among the cells that ran.
+        assert any(
+            line.startswith("cells with negative savings:") and line.endswith(" of 19")
+            for line in out.splitlines()
+        )
+        assert not record.exists()
+
+
 class TestSummarize:
     @staticmethod
     def report_with(cost_usd: Fraction, config: ScenarioConfig) -> ScenarioReport:
@@ -479,13 +514,14 @@ class TestSweep:
     def test_cell_errors_are_isolated(self):
         bad = desk_config(utxo_pool_size=10_000_000)
         good = desk_config()
+        # A dataset too small for the sample fails the first draw, whatever
+        # the repetition, so the scenario raises instead of recording it.
+        with pytest.raises(DatasetTooSmall):
+            run_scenario(bad, Mode.NO_LEVERAGE)
         cells = sweep([bad, good])
-        # Sampling failure is recorded per repetition, not raised, so the
-        # cell completes with all repetitions failed and no savings.
-        assert cells[0].error is None
-        assert cells[0].no_leverage.failed_count == bad.repetitions
-        assert cells[0].savings is None
-        assert cells[1].savings is not None
+        assert cells[0].error == "DatasetTooSmall: need 10000000 UTXOs, dataset has 10000"
+        assert cells[0].no_leverage is None and cells[0].savings is None
+        assert cells[1].error is None and cells[1].savings is not None
 
     def test_impossible_leverage_bound_fails_the_cell_before_any_mode(self, monkeypatch):
         # extra_min 5 leaves the unset extra_max at the batch size, 2.
