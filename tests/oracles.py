@@ -213,6 +213,47 @@ def brute_pairing(
     return best
 
 
+def brute_cheapest_pair(
+    values_desc: list[int],
+    payment_values: list[int],
+    candidate_values: list[int],
+    gamma: int,
+    dust: int,
+    make_change: int,
+    beta: Fraction,
+    min_extra: int,
+    max_extra: int,
+) -> tuple[int, tuple[int, ...]] | None:
+    """``brute_pairing``'s pair itself, under the selector's tie rules.
+
+    Returns the index of the one first input in values_desc and the indices
+    of the extras in candidate_values, or None when no pair exists. Bundles
+    are scanned by size and then in ``combinations`` order, and only a
+    strictly smaller overpayment replaces the best, so a tie goes to the
+    earliest bundle. A bundle takes the smallest value whose change clears
+    dust and funds it, ties to the smallest index.
+    """
+    total_p = sum(payment_values)
+    fee1 = size_bytes(1, len(payment_values), 1) * gamma
+    best, best_r2 = None, None
+    for t in range(min_extra, max_extra + 1):
+        for extra in combinations(range(len(candidate_values)), t):
+            need = sum(candidate_values[i] for i in extra) + size_bytes(1, t, 0) * gamma
+            funding = [
+                v for v in values_desc
+                if v - total_p - fee1 > 0 and v - total_p - fee1 >= max(dust, need)
+            ]
+            if not funding:
+                continue
+            r2 = min(funding) - total_p - fee1 - need
+            if r2 <= beta * make_change and (best_r2 is None or r2 < best_r2):
+                best, best_r2 = (min(funding), extra), r2
+    if best is None:
+        return None
+    value, extra = best
+    return values_desc.index(value), extra
+
+
 def brute_smallest_funding_input(
     values_desc: list[int],
     payment_values: list[int],

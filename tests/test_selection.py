@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinlever.selection as selection
-from coinlever.blp import BlpProblem, SolveStatus, solve
+from coinlever.blp import BlpProblem, SolveOutcome, SolveStatus, solve
 from coinlever.datasets import bundled_payment_dataset, bundled_utxo_dataset
 from coinlever.io import attempt_dict
 from coinlever.model import (
@@ -47,6 +47,7 @@ from coinlever.simulation import (
 )
 
 from oracles import (
+    brute_cheapest_pair,
     brute_fallback,
     brute_knapsack,
     brute_leverage,
@@ -548,6 +549,70 @@ class TestLeverage:
         tx1, tx2 = pair
         assert tx2.overpayment == brute_pairing(values, payments, cands, *args)
         self.check_pair_invariants(pool, batch, tx1, tx2, fees, lev)
+
+    @given(
+        gamma=st.sampled_from([0, 1, 22]),
+        units=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+        spans=st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from([0, 3, 40])), min_size=1, max_size=10
+        ),
+        payments=st.lists(st.sampled_from([5_000, 12_000]), min_size=1, max_size=2),
+        make_change=st.sampled_from([4_000, 50, 0]),
+        beta=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(0)]),
+        min_extra=st.integers(1, 2),
+        # min_extra < max_extra in about half of the examples.
+        widen=st.one_of(st.just(0), st.integers(1, 2)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cheapest_pair_follows_the_tie_rules(
+        self, gamma, units, spans, payments, make_change, beta, min_extra, widen
+    ):
+        # Candidate needs less 158 gamma are multiples of 1,000, and pool
+        # values sit a few units of 1,000 plus a small offset above the
+        # bridge that funds nothing. So equal needs occur within and across
+        # bundle sizes, and equal overpayments across first inputs.
+        fees = FeeParams(gamma, make_change=make_change)
+        edge = sum(payments) + size_bytes(1, len(payments), 1) * gamma + 158 * gamma
+        values = sorted((edge + 1_000 * j + off for j, off in spans), reverse=True)
+        cands = [1_000 * u - 34 * gamma for u in units]
+        max_extra = min_extra + widen
+        if brute_opt(values, payments, gamma, fees.dust) != 1:
+            return
+        expected = brute_cheapest_pair(
+            values, payments, cands, gamma, fees.dust, make_change, beta, min_extra, max_extra
+        )
+        lev = LeverageParams(min_extra=min_extra, max_extra=max_extra, boost=beta)
+        pair, _ = leverage_select(
+            make_pool(values), make_payments(payments), make_payments(cands, prefix="c"),
+            fees, lev, GENEROUS,
+        )
+        if expected is None:
+            assert pair is None
+            return
+        # Fewer than 10 values and candidates, so id order is index order.
+        tx1, tx2 = pair
+        index, extras = expected
+        assert [u.id for u in tx1.inputs] == [f"u{index}"]
+        assert [p.id for p in tx2.payments] == [f"c{i}" for i in extras]
+
+    # The solver is made to claim a pair that the sweep cannot meet: the
+    # bridge of 3 funds no extra of 8, and funds the extra of 3 only with
+    # an overpayment of 2 where none is allowed.
+    @pytest.mark.parametrize("values, cands", [([10], [8]), ([12], [3, 10])])
+    def test_solver_and_sweep_disagreement_raises(self, values, cands):
+        fees = FeeParams(gamma=0, dust=0, make_change=0)
+        lev = LeverageParams(min_extra=1, max_extra=1, boost=Fraction(1))
+
+        def claim(problem, budget, max_nodes=None):
+            point = (1,) + (0,) * (problem.n_vars - 1)
+            return SolveOutcome(SolveStatus.OPTIMAL, point, 0, 1, None)
+
+        with mock.patch.object(selection, "solve", claim):
+            with pytest.raises(RuntimeError, match="sweep found no pair"):
+                leverage_select(
+                    make_pool(values), make_payments([7]), make_payments(cands, prefix="c"),
+                    fees, lev, GENEROUS,
+                )
 
     def test_equal_values_go_to_the_smallest_id(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
