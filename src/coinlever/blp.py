@@ -35,6 +35,14 @@ plus a per-row violation flag; fixing a variable to its improving value
 leaves both unchanged, so only the other branch updates them. And since no
 point beats the root bound (the sum of the negative objective
 coefficients), an incumbent that meets it ends the search as OPTIMAL.
+
+Some programs end before the first node. With no zero objective
+coefficient each variable tries its improving value first, so the search's
+first leaf that meets the block rows is the improving completion with each
+block held to its count, cheapest ones first, and no point is cheaper. If
+it meets every row it is the first incumbent and, as none is replaced at
+equal cost, the last: OPTIMAL after 0 nodes. A zero-cost variable tries 1
+first, so the leverage programs (all-zero objective) always search.
 """
 
 from __future__ import annotations
@@ -174,11 +182,12 @@ def solve(
     returns the best feasible assignment found so far as FEASIBLE_INCUMBENT,
     or TIMED_OUT when none exists, with ``limit`` naming the one that
     expired. FEASIBLE_INCUMBENT means "not proved optimal": an incumbent
-    that meets the root bound is returned as OPTIMAL at once. With enough
-    budget the result is OPTIMAL or INFEASIBLE and the search is fully
-    deterministic. Right-hand sides are compared exactly as given, so a
-    caller with a rational bound on an integer row floors or ceils it
-    itself; a cardinality row serves as a block only with an integer bound.
+    that meets the root bound is returned as OPTIMAL at once, as is a first
+    leaf that no point can beat (0 nodes). With enough budget the result is
+    OPTIMAL or INFEASIBLE and the search is fully deterministic. Right-hand
+    sides are compared exactly as given, so a caller with a rational bound
+    on an integer row floors or ceils it itself; a cardinality row serves as
+    a block only with an integer bound.
 
     Branching picks the unfixed variable with the largest absolute objective
     coefficient (ties to the lowest index). A variable with a positive
@@ -224,6 +233,23 @@ def solve(
             for j, _ in rows[i][0]:
                 block_of[j] = i
 
+    imp_value = [1 if objective[j] < 0 else 0 for j in range(n)]
+    if all(objective):
+        # The search's first leaf that meets the block rows: ``need`` counts
+        # the ones a block row still allows, ``left`` its variables to come.
+        need, left = rhss[:], [len(coeffs) for coeffs, _, _ in rows]
+        leaf = imp_value[:]
+        for j in order:
+            b = block_of[j]
+            if b >= 0:
+                left[b] -= 1
+                take = imp_value[j] or (rels[b] == _EQ and need[b] > left[b])
+                leaf[j] = 1 if take and need[b] > 0 else 0
+                need[b] -= leaf[j]
+        if check_feasible(problem, leaf):
+            value = sum(compress(objective, leaf))
+            return SolveOutcome(SolveStatus.OPTIMAL, tuple(leaf), value, 0, None)
+
     acts: list[Coeff] = [0] * n_rows
     # Attainable min/max contribution of the unfixed variables of each
     # row's free part, the variables outside every block the row meets.
@@ -233,7 +259,6 @@ def solve(
     # variable at its objective-improving value. Fixing a variable to that
     # value leaves it unchanged.
     imp_acts: list[Coeff] = [0] * n_rows
-    imp_value = [1 if objective[j] < 0 else 0 for j in range(n)]
     # ``(row, coeff, in the row's free part)`` for each variable.
     cols: list[list[tuple[int, Coeff, bool]]] = [[] for _ in range(n)]
     # The covered parts of each row, one per block it meets, as

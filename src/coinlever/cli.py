@@ -153,8 +153,11 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
 
-    if "rng_seed" not in values and os.environ.get(ENV_SEED):
-        values["rng_seed"] = int(os.environ[ENV_SEED])
+    if "rng_seed" not in values and (seed := os.environ.get(ENV_SEED)):
+        try:
+            values["rng_seed"] = int(seed)
+        except ValueError:
+            raise UsageError(f"{ENV_SEED} must be an integer, not {seed!r}") from None
     values.setdefault("gamma", 22)
     values.setdefault("batch_size", 2)
     try:

@@ -145,9 +145,11 @@ def knapsack_select(
 
     The program covers only the window of pool values that some feasible
     k-set can hold, usually a handful of UTXOs out of thousands. A UTXO
-    outside it is 0 at every feasible point, and the UTXOs inside keep
-    their order, so the search meets the same incumbents in the same order
-    as a search over the whole pool would, and in no more nodes.
+    outside it is 0 at every feasible point and those inside keep their
+    order, so the search meets the same incumbents in the same order as
+    over the whole pool, in no more nodes. At k = 1 every UTXO in the window
+    funds the batch, and the solver's root leaf takes the smallest (the last
+    of equal values, as the search would) after 0 nodes.
     """
     if not batch:
         raise ValueError("batch must be non-empty")

@@ -118,6 +118,13 @@ def range_problem(rng: random.Random, max_vars: int = 12, coefficient=mixed_coef
     return BlpProblem(n, objective, rows), objective, rows
 
 
+def tied_coefficient(rng: random.Random):
+    """Nonzero mixed-sign coefficients of one to three magnitudes, so that
+    equal costs, and with them the tie rules, are common."""
+    magnitudes = rng.sample(range(1, 21), rng.randint(1, 3))
+    return lambda r: r.choice([-1, 1]) * r.choice(magnitudes)
+
+
 class TestProblemConstruction:
     def test_row_length_mismatch(self):
         with pytest.raises(MalformedProblem):
@@ -283,7 +290,7 @@ class TestSolveContracts:
             coefficient = signed_coefficient if seed % 2 else mixed_coefficient
             _, objective, rows = cardinality_problem(rng, coefficient=coefficient)
             total += solve(BlpProblem(len(objective), objective, rows), GENEROUS).nodes_explored
-        assert total == 5070
+        assert total == 4764
 
     def test_range_rows_cut_only_empty_subtrees(self):
         # Over 400 programs with adjacent ">=" / "<=" rows of equal
@@ -373,6 +380,30 @@ class TestSolveContracts:
         assert (outcome.limit == "nodes") == (
             outcome.status in (SolveStatus.FEASIBLE_INCUMBENT, SolveStatus.TIMED_OUT)
         )
+
+
+class TestRootLeaf:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        generate=st.sampled_from([cardinality_problem, range_problem]),
+    )
+    @settings(max_examples=1500, deadline=None)
+    def test_root_leaf_is_the_search_answer(self, seed, generate):
+        # A zero-cost variable in no row turns the root leaf off, since it
+        # tries 1 first against an improving value of 0, and it leaves the
+        # search's answer on the other variables as it was.
+        rng = random.Random(seed)
+        problem, objective, rows = generate(rng, coefficient=tied_coefficient(rng))
+        n = problem.n_vars
+        padded = BlpProblem(
+            n + 1, [*objective, 0], [([*coeffs, 0], rel, rhs) for coeffs, rel, rhs in rows]
+        )
+        plain, searched = solve(problem, GENEROUS), solve(padded, GENEROUS)
+        assert plain.limit is None and searched.limit is None
+        assert plain.status is searched.status
+        assert plain.objective_value == searched.objective_value
+        if plain.assignment is not None:
+            assert plain.assignment == searched.assignment[:n]
 
 
 class TestRootBoundStop:

@@ -278,6 +278,13 @@ class TestSimulate:
         (cell,) = json.loads(out.read_text())["cells"]
         assert cell["config"]["rng_seed"] == 777
 
+    def test_non_integer_env_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COINLEVER_SEED", "abc")
+        code = main(["simulate", "--gamma", "200", "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert "usage error: COINLEVER_SEED must be an integer, not 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_flag_seed_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COINLEVER_SEED", "777")
         out = tmp_path / "report.json"

@@ -122,6 +122,17 @@ class TestKnapsack:
         assert [u.value for u in tx.inputs] == [5]
         assert (tx.change, tx.overpayment) == (0, 0)
 
+    def test_one_input_program_ends_at_the_root(self):
+        # The smallest funding value repeats: the search would try the
+        # largest values first and reach the last of the equal UTXOs in
+        # pool order, and the root leaf is that same point.
+        fees = FeeParams(gamma=0, dust=0, make_change=100)
+        pool = make_pool([900, 700, 500, 500, 500, 100])
+        tx, attempt = knapsack_select(pool, make_payments([450]), fees, GENEROUS)
+        assert attempt.status is SolveStatus.OPTIMAL
+        assert (attempt.nodes, attempt.limit, attempt.objective) == (0, None, 500)
+        assert [u.id for u in tx.inputs] == [pool.utxos[4].id]
+
     def test_infeasible_at_optimal_cardinality(self):
         fees = FeeParams(gamma=0, dust=0, make_change=0)
         tx, attempt = knapsack_select(make_pool([5, 3, 2]), make_payments([9]), fees, GENEROUS)
@@ -301,12 +312,19 @@ class TestFullScaleKnapsack:
         assert attempt.objective == min(in_window)
 
     def test_attempt_and_report_carry_the_stop_reason(self, sample):
-        pool, batch, fees = sample
+        # A one-input program ends at the root, so the capped call is a
+        # two-input one: its first leaf, the window's two smallest UTXOs,
+        # falls short of the target and the search has to branch.
+        pool, _, fees = sample
+        values = pool.values()
+        fee2 = size_bytes(2, 1, 0) * fees.gamma
+        batch = make_payments([values[0] + values[200] - fee2], "x")
+        assert opt(pool, batch, fees) == 2
         (capped,) = attempt_selection(pool, batch, fees, GENEROUS, max_nodes=1).attempts
         assert capped.limit == "nodes"
         assert attempt_dict(capped)["limit"] == "nodes"
         (full,) = attempt_selection(pool, batch, fees, GENEROUS).attempts
-        assert full.limit is None
+        assert full.limit is None and full.nodes > 1
         assert attempt_dict(full)["limit"] is None
 
     def test_empty_window_proved_infeasible(self, sample):
@@ -809,5 +827,5 @@ def test_random_selections_are_pinned():
     # inputs, and node-capped leverage calls.
     assert paths["pair", 1] > 50 and paths["pair", 2] > 20 and paths["capped"] > 20
     assert digest.hexdigest() == (
-        "b7e1c42b801c95227e95a49059f85f36c9a5ca86a8a5427d19a0a350a3a9a030"
+        "ec36d589c4586367406c7b024b7d5b9e1fe9857d14b9aa3afe6e7e51f6eb87ea"
     )

@@ -364,14 +364,14 @@ class TestFullScalePins:
 
     def test_no_leverage_grid(self):
         assert self.report_sha256(Mode.NO_LEVERAGE, BATCH_SWEEP) == (
-            "da7280d613572ee573b2cb625fb767cdc7a8a37b7210acd5bf36a9b0671eec70"
+            "6625472fd9dcf2443a0f4da3c2f2e47a6615e1b046eb211b2863d1857d329eda"
         )
 
     def test_leverage_grid(self):
         # With the 64-candidate window, bundle size 2 sweeps every bundle
         # and larger bundles keep the solver's.
         assert self.report_sha256(Mode.LEVERAGE, BATCH_SWEEP) == (
-            "e5ada7add860ae2b5bc3ca3328f22c57e015db0747e50f464b86e40b203bb97c"
+            "6902a5bfe50a66e84cda1380b062818a20030ffd72afd06ab6c62340dc56ebd0"
         )
 
 
